@@ -121,7 +121,7 @@ def _bench_allocator(flows: int) -> dict:
     ]
     repeats = max(3, 2048 // flows)
 
-    # cold: the pre-cache from-scratch rate (vector path auto-dispatch)
+    # cold: the uncached from-scratch solve
     result = allocate(topology, demands, cache=False)  # warm-up
     start = time.perf_counter()
     for _ in range(repeats):

@@ -36,15 +36,12 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 from typing import Optional, Union
-
-import numpy as np
 
 from repro.datasets.files import FileInfo
 from repro.netsim import tcp
@@ -71,32 +68,10 @@ __all__ = [
 #: server of the given spec at the given utilization (load-dependent part).
 PowerFn = Callable[[ServerSpec, Utilization], Watts]
 
-#: Minimum number of repeated ``+= dt`` additions worth batching into a
-#: single :func:`accumulate_times` pass — below this the array setup
-#: costs more than the Python loop it replaces.
-ACCUM_VECTOR_MIN = 32
-
-#: Completion-walk caps for :meth:`TransferEngine.count_stable_steps`:
-#: the scalar walk checks at most ``_COUNT_WALK_CAP`` completion times,
-#: and queues at least ``_COUNT_WALK_VECTOR_MIN`` deep take the
-#: vectorized walk instead of the per-file Python loop.
+#: The single-channel completion walk in
+#: :meth:`TransferEngine.count_stable_steps` checks at most this many
+#: completion times.
 _COUNT_WALK_CAP = 512
-_COUNT_WALK_VECTOR_MIN = 16
-
-
-def accumulate_times(t0: float, dt: Seconds, k: int) -> np.ndarray:
-    """The ``k`` running sums of ``t0 += dt`` as one array op.
-
-    ``np.add.accumulate`` on float64 folds strictly left-to-right, so
-    every partial sum — and in particular the final element — is
-    bit-equal to ``k`` repeated Python ``+= dt`` additions. (Float
-    addition is not associative: ``t0 + k * dt`` would drift off the
-    grid the fixed stepper walks.)
-    """
-    steps = np.empty(k + 1)
-    steps[0] = t0
-    steps[1:] = dt
-    return np.add.accumulate(steps)[1:]
 
 
 class Binding(enum.Enum):
@@ -1115,20 +1090,12 @@ class TransferEngine:
         # Accumulate time exactly as the fixed stepper would (k repeated
         # additions), so the two modes agree on `time` to the last bit —
         # float addition is not associative, and `+= k*dt` would drift.
-        # Long spans batch the additions into one sequential-fold array
-        # op (bit-equal, see accumulate_times).
-        step_times: list[float]
-        if k >= ACCUM_VECTOR_MIN:
-            times = accumulate_times(self.time, dt, k)
-            self.time = float(times[-1])
-            step_times = times.tolist() if self.record_trace else []
-        else:
-            t = self.time
-            step_times = []
-            for _ in range(k):
-                t += dt
-                step_times.append(t)
-            self.time = t
+        t = self.time
+        step_times: list[float] = []
+        for _ in range(k):
+            t += dt
+            step_times.append(t)
+        self.time = t
 
         if self.record_trace:
             avg_throughput = sum(moved_src.values()) / span if moved_src else 0.0
@@ -1230,13 +1197,6 @@ class TransferEngine:
                     continue  # stalled: never completes, count frozen
                 gap = channel.per_file_gap
                 t = channel.gap_remaining + channel.current.remaining / rate
-                if len(state.queue) >= _COUNT_WALK_VECTOR_MIN:
-                    k = self._count_walk_vector(
-                        state.queue, t, gap, rate, span, dt, guard, k
-                    )
-                    if k <= 1:
-                        return 1
-                    continue
                 walked = 0
                 queued = iter(state.queue)
                 while t < span and walked < _COUNT_WALK_CAP:
@@ -1252,48 +1212,6 @@ class TransferEngine:
                     t += gap + nxt.remaining / rate
             if k <= 1:
                 return 1
-        return k
-
-    @staticmethod
-    def _count_walk_vector(
-        queue: deque[FileProgress],
-        t0: float,
-        gap: float,
-        rate: float,
-        span: float,
-        dt: float,
-        guard: float,
-        k: int,
-    ) -> int:
-        """Vectorized single-channel completion walk (deep queues).
-
-        Computes the same completion schedule as the scalar walk in
-        :meth:`count_stable_steps`: ``np.add.accumulate`` folds the
-        per-file increments left-to-right, so every completion time is
-        bit-equal to the loop's repeated additions, and the same
-        straddling-gap test is applied to all of them in one pass. The
-        first dip (if any) bounds ``k`` exactly as the scalar walk's
-        early exit does.
-        """
-        n = min(len(queue), _COUNT_WALK_CAP - 1)
-        times = np.empty(n + 1)
-        times[0] = t0
-        times[1:] = np.fromiter(
-            (gap + fp.remaining / rate for fp in itertools.islice(queue, n)),
-            dtype=np.float64,
-            count=n,
-        )
-        np.add.accumulate(times, out=times)
-        # the scalar walk only checks completions strictly before span
-        limit = int(np.searchsorted(times, span, side="left"))
-        if limit == 0:
-            return k
-        checked = times[:limit]
-        boundaries = (np.floor(checked / dt) + 1.0) * dt
-        dips = (checked + gap) > (boundaries - guard)
-        first = int(np.argmax(dips))
-        if dips[first]:
-            return min(k, int(boundaries[first] / dt))
         return k
 
     def advance_prepared(
