@@ -6,13 +6,11 @@ Exercises ``repro.topo`` end to end and writes ``BENCH_topo.json``:
   64/256/1024 flows on a k=4 fat-tree (the hot loop of every
   topology-backed simulation step), with cold (uncached), LRU-hit and
   incremental-refill columns;
-* **topology fleet day** — a contended 1k-job topology service day,
-  unsharded versus carved into topology-aware pair shards
-  (``repro.service.fleet``): wall-clock speedup (gate: >= 10x), the
-  sharded fast day bit-equal to its uncached dt-grid reference,
-  a repeat day served almost entirely from the allocation LRU
-  (gate: hit rate > 0.9) and a 10k-job sharded day completing in
-  smoke mode;
+* **contended topology day** — a 1k-job bursty day on a six-leaf
+  fabric through one ``ServiceSimulator`` at the default admission cap
+  of 4: the fast day bit-equal to its uncached dt-grid reference
+  (energy/cost within 1e-9), and a repeat day served almost entirely
+  from the allocation LRU (gate: hit rate > 0.9);
 * **placement-policy comparison** — one congested leaf-spine service
   day per policy; the informed ``least-congested`` policy must beat
   the load-blind ``random-k`` sampler on p95 slowdown;
@@ -53,7 +51,6 @@ from repro.service import (
     tariff_by_name,
     workload_by_name,
 )
-from repro.service.fleet import FleetSimulator
 from repro.testbeds.specs import testbed_by_name
 from repro.topo import (
     FlowDemand,
@@ -89,17 +86,13 @@ COMPARE_SIZE_SCALE = 0.3
 #: accumulation-order equality on energy/cost).
 REL_ERR_BUDGET = 1e-9
 
-#: The contended topology fleet day: 1k overlapping jobs on a six-leaf
-#: fabric. Unsharded, the engine cost grows superlinearly with the
-#: number of concurrent transfers; carved into C(6,2)=15 pair shards
-#: the same day is >= 10x faster (the CI gate) with every timestamp
-#: pinned by the dt-grid reference.
-FLEET_TOPOLOGY = "leaf-spine:s=2,l=6,spine=0.4"
-FLEET_DAY_S = 8640.0
-FLEET_JOBS = 1000
-FLEET_SPEEDUP_GATE = 10.0
+#: The contended topology day: 1k overlapping jobs on a six-leaf
+#: fabric, admitted at the service's default cap of 4, with every
+#: timestamp pinned by the uncached dt-grid reference.
+CONTENDED_TOPOLOGY = "leaf-spine:s=2,l=6,spine=0.4"
+CONTENDED_DAY_S = 8640.0
+CONTENDED_JOBS = 1000
 CACHE_HIT_RATE_GATE = 0.9
-TENK_JOBS = 10000
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -181,10 +174,10 @@ def _report_dict(report) -> dict:
     return strip_wall(report.to_dict())
 
 
-def _fleet_day(*, testbed, tariff, requests, fast=True, cache=True):
-    """One topology-aware sharded fleet day; returns (report, wall_s).
-    ``cache=False`` runs the uncached reference (LRU off, restored
-    after)."""
+def _contended_day(*, testbed, tariff, requests, fast=True, cache=True):
+    """One contended topology day at the default cap; returns
+    (report, wall_s). ``cache=False`` runs the uncached reference (LRU
+    off, restored after)."""
     from repro.service.policies import plan_cache_clear
 
     plan_cache_clear()
@@ -192,114 +185,69 @@ def _fleet_day(*, testbed, tariff, requests, fast=True, cache=True):
     prev = set_alloc_cache(cache)
     try:
         start = time.perf_counter()
-        fleet = FleetSimulator(
-            testbed, policy=policy_by_name("run-now"), tariff=tariff,
-            fast=fast, topology=FLEET_TOPOLOGY, routing="topology-aware",
+        report = _service_day(
+            testbed=testbed, tariff=tariff, requests=requests, fast=fast,
+            topology=CONTENDED_TOPOLOGY, max_concurrent=4,
         )
-        report = fleet.run(requests)
         wall = time.perf_counter() - start
     finally:
         set_alloc_cache(prev)
     return report, wall
 
 
-def _bench_fleet_day(*, smoke: bool, seed: int) -> dict:
-    """The 1k-job contended topology day, unsharded vs pair-sharded,
-    plus the uncached dt-grid reference, the repeat-day LRU hit rate
-    and the 10k-job feasibility cell."""
-    from repro.service.policies import plan_cache_clear
-
+def _bench_contended_day(*, smoke: bool, seed: int) -> dict:
+    """The 1k-job contended topology day against its uncached dt-grid
+    reference, plus the repeat-day LRU hit rate."""
     testbed = testbed_by_name("xsede")
-    tariff = tariff_by_name("peak-offpeak", period_s=FLEET_DAY_S)
+    tariff = tariff_by_name("peak-offpeak", period_s=CONTENDED_DAY_S)
     size_scale = 0.075 if smoke else 0.1
     requests = workload_by_name(
-        "bursty", FLEET_JOBS, day_s=FLEET_DAY_S, seed=seed,
+        "bursty", CONTENDED_JOBS, day_s=CONTENDED_DAY_S, seed=seed,
         size_scale=size_scale,
     )
-
-    # unsharded baseline: one simulator carries all 1k overlapping jobs
-    plan_cache_clear()
-    alloc_cache_clear()
-    start = time.perf_counter()
-    unsharded = _service_day(
-        testbed=testbed, tariff=tariff, requests=requests,
-        topology=FLEET_TOPOLOGY, max_concurrent=64,
-    )
-    unsharded_wall = time.perf_counter() - start
-
-    fleet_report, fleet_wall = _fleet_day(
-        testbed=testbed, tariff=tariff, requests=requests,
-    )
-    grid_report, grid_wall = _fleet_day(
+    grid_report, grid_wall = _contended_day(
         testbed=testbed, tariff=tariff, requests=requests,
         fast=False, cache=False,
     )
-
+    fast_report, fast_wall = _contended_day(
+        testbed=testbed, tariff=tariff, requests=requests,
+    )
     times_bitequal = all(
         a.submitted_at == b.submitted_at
         and a.admitted_at == b.admitted_at
         and a.completed_at == b.completed_at
-        for fast_shard, grid_shard in zip(
-            fleet_report.shards, grid_report.shards
-        )
-        for a, b in zip(fast_shard.report.jobs, grid_shard.report.jobs)
+        for a, b in zip(fast_report.jobs, grid_report.jobs, strict=True)
     )
 
-    # repeat day: a second identical fleet day against the warm LRU
-    # (inline, same process) must be served almost entirely from cache
-    plan_cache_clear()
-    alloc_cache_clear()
-    _fleet_repeat = FleetSimulator(
-        testbed, policy=policy_by_name("run-now"), tariff=tariff,
-        fast=True, topology=FLEET_TOPOLOGY, routing="topology-aware",
-    )
-    _fleet_repeat.run(requests)
+    # repeat day: a second identical day against the LRU the fast day
+    # warmed must be served almost entirely from cache
     before = alloc_cache_info()
-    FleetSimulator(
-        testbed, policy=policy_by_name("run-now"), tariff=tariff,
-        fast=True, topology=FLEET_TOPOLOGY, routing="topology-aware",
-    ).run(requests)
+    _service_day(
+        testbed=testbed, tariff=tariff, requests=requests,
+        topology=CONTENDED_TOPOLOGY, max_concurrent=4,
+    )
     after = alloc_cache_info()
     hits = after.hits - before.hits
     misses = after.misses - before.misses
-    hit_rate = hits / max(hits + misses, 1)
-
-    # 10k-job day: sharded, fast driver — must simply complete in CI
-    tenk_requests = workload_by_name(
-        "steady", TENK_JOBS, day_s=FLEET_DAY_S, seed=seed,
-        size_scale=(0.5 if smoke else 1.0) * FLEET_DAY_S / 86400.0,
-    )
-    tenk_report, tenk_wall = _fleet_day(
-        testbed=testbed, tariff=tariff, requests=tenk_requests,
-    )
 
     return {
-        "topology": FLEET_TOPOLOGY,
-        "jobs": FLEET_JOBS,
-        "day_s": FLEET_DAY_S,
+        "topology": CONTENDED_TOPOLOGY,
+        "jobs": CONTENDED_JOBS,
+        "day_s": CONTENDED_DAY_S,
         "size_scale": size_scale,
-        "shards": len(fleet_report.shards),
-        "unsharded_wall_s": unsharded_wall,
-        "fleet_wall_s": fleet_wall,
-        "speedup": unsharded_wall / fleet_wall,
+        "max_concurrent_jobs": 4,
+        "fast_wall_s": fast_wall,
         "grid_wall_s": grid_wall,
         "times_bitequal": times_bitequal,
         "rel_err_energy": _rel_err(
-            fleet_report.total_energy_j, grid_report.total_energy_j
+            fast_report.total_energy_j, grid_report.total_energy_j
         ),
         "rel_err_cost": _rel_err(
-            fleet_report.total_cost_usd, grid_report.total_cost_usd
+            fast_report.total_cost_usd, grid_report.total_cost_usd
         ),
-        "repeat_hit_rate": hit_rate,
-        "unsharded_energy_j": unsharded.total_energy_j,
-        "fleet_energy_j": fleet_report.total_energy_j,
-        "tenk": {
-            "jobs": TENK_JOBS,
-            "wall_s": tenk_wall,
-            "completed": sum(
-                len(shard.report.jobs) for shard in tenk_report.shards
-            ) == TENK_JOBS,
-        },
+        "repeat_hit_rate": hits / max(hits + misses, 1),
+        "energy_j": fast_report.total_energy_j,
+        "p95_slowdown": fast_report.p95_slowdown,
     }
 
 
@@ -313,7 +261,7 @@ def run_benchmark(*, smoke: bool = False, seed: int = 7) -> dict:
 
     allocator = [_bench_allocator(flows) for flows in FLOW_COUNTS]
 
-    fleet_day = _bench_fleet_day(smoke=smoke, seed=seed)
+    contended_day = _bench_contended_day(smoke=smoke, seed=seed)
 
     # -- placement-policy comparison (congested fabric) -----------------
     compare_jobs, compare_day = (12, 600.0) if smoke else (24, 1200.0)
@@ -421,7 +369,7 @@ def run_benchmark(*, smoke: bool = False, seed: int = 7) -> dict:
         "seed": seed,
         "rel_err_budget": REL_ERR_BUDGET,
         "allocator": allocator,
-        "fleet_day": fleet_day,
+        "contended_day": contended_day,
         "placement_comparison": comparison,
         "fast_vs_grid": gates,
         "single_link_byte_identical": anchor,
@@ -462,32 +410,23 @@ def check_benchmark(report: dict) -> list[str]:
                 f"single-link topology diverged from the classic "
                 f"point-to-point run ({driver} driver)"
             )
-    fleet_day = report["fleet_day"]
-    if fleet_day["speedup"] < FLEET_SPEEDUP_GATE:
+    day = report["contended_day"]
+    if not day["times_bitequal"]:
         failures.append(
-            f"sharded fleet day speedup {fleet_day['speedup']:.1f}x below "
-            f"the {FLEET_SPEEDUP_GATE:.0f}x gate "
-            f"({fleet_day['unsharded_wall_s']:.1f}s unsharded vs "
-            f"{fleet_day['fleet_wall_s']:.1f}s sharded)"
-        )
-    if not fleet_day["times_bitequal"]:
-        failures.append(
-            "fleet day: fast-vs-grid job timestamps diverged"
+            "contended day: fast-vs-grid job timestamps diverged"
         )
     for key in ("rel_err_energy", "rel_err_cost"):
-        if fleet_day[key] > report["rel_err_budget"]:
+        if day[key] > report["rel_err_budget"]:
             failures.append(
-                f"fleet day: {key} {fleet_day[key]:.3e} above the "
+                f"contended day: {key} {day[key]:.3e} above the "
                 f"{report['rel_err_budget']:.0e} budget"
             )
-    if fleet_day["repeat_hit_rate"] <= CACHE_HIT_RATE_GATE:
+    if day["repeat_hit_rate"] <= CACHE_HIT_RATE_GATE:
         failures.append(
-            f"repeat fleet day LRU hit rate "
-            f"{fleet_day['repeat_hit_rate']:.3f} at or below the "
+            f"repeat contended day LRU hit rate "
+            f"{day['repeat_hit_rate']:.3f} at or below the "
             f"{CACHE_HIT_RATE_GATE} gate"
         )
-    if not fleet_day["tenk"]["completed"]:
-        failures.append("10k-job sharded day did not complete every job")
     return failures
 
 
@@ -495,17 +434,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small CI mode: fewer jobs, shorter day, "
-                             "lighter fleet-day contention")
+                             "lighter contended-day load")
     parser.add_argument("--seed", type=int, default=7,
                         help="workload seed")
     parser.add_argument(
         "--check", action="store_true",
         help="CI gate: exit non-zero unless least-congested beats "
              "random-k, every cell is deterministic, fast-vs-grid "
-             "errors stay below 1e-9, single-link is byte-identical, "
-             "the sharded fleet day is >= 10x faster than unsharded "
-             "with a > 0.9 repeat-day LRU hit rate, and the 10k-job "
-             "day completes",
+             "errors stay below 1e-9 (the contended day too), "
+             "single-link is byte-identical, and the repeat contended "
+             "day's LRU hit rate is > 0.9",
     )
     parser.add_argument(
         "-o", "--output", type=Path,
@@ -524,18 +462,16 @@ def main(argv=None) -> int:
               f"{row['cached_allocations_per_sec']:>9.0f} cached/s "
               f"({row['cached_speedup']:.0f}x), "
               f"{row['refill_allocations_per_sec']:>7.0f} refill/s")
-    fd = report["fleet_day"]
-    print(f"  fleet day {fd['jobs']} jobs on {fd['topology']}: "
-          f"unsharded {fd['unsharded_wall_s']:.1f}s, "
-          f"{fd['shards']} shards {fd['fleet_wall_s']:.1f}s "
-          f"({fd['speedup']:.1f}x), grid ref {fd['grid_wall_s']:.1f}s, "
-          f"times {'bit-equal' if fd['times_bitequal'] else 'DIVERGED'}, "
+    day = report["contended_day"]
+    print(f"  contended day {day['jobs']} jobs on {day['topology']} "
+          f"(cap {day['max_concurrent_jobs']}): "
+          f"fast {day['fast_wall_s']:.1f}s, "
+          f"grid ref {day['grid_wall_s']:.1f}s, "
+          f"times {'bit-equal' if day['times_bitequal'] else 'DIVERGED'}, "
           f"worst rel-err "
-          f"{max(fd['rel_err_energy'], fd['rel_err_cost']):.1e}")
-    print(f"  fleet repeat-day LRU hit rate {fd['repeat_hit_rate']:.3f}; "
-          f"10k-job day "
-          f"{'completed' if fd['tenk']['completed'] else 'INCOMPLETE'} "
-          f"in {fd['tenk']['wall_s']:.1f}s")
+          f"{max(day['rel_err_energy'], day['rel_err_cost']):.1e}, "
+          f"repeat-day LRU hit rate {day['repeat_hit_rate']:.3f}, "
+          f"{day['energy_j'] / 1e3:.0f} kJ")
     for cell in report["placement_comparison"]:
         det = "ok" if cell["deterministic"] else "DIVERGED"
         seeds = ", ".join(
@@ -562,8 +498,7 @@ def main(argv=None) -> int:
             return 1
         print("  checks passed: placement ordering, determinism, "
               "fast-vs-grid within 1e-9, single-link anchor, "
-              ">=10x sharded fleet day, repeat-day hit rate > 0.9, "
-              "10k-job completion")
+              "contended day bit-equal with repeat-day hit rate > 0.9")
     return 0
 
 

@@ -14,7 +14,8 @@ Run:  python examples/provider_fleet.py
 
 from repro import units
 from repro.datasets.generators import log_uniform_dataset
-from repro.fleet import FleetModel, JobClass, TariffModel, global_projection_twh
+from repro.fleet import FleetModel, JobClass, global_projection_twh
+from repro.service import flat_tariff
 from repro.testbeds import XSEDE
 
 
@@ -32,7 +33,7 @@ def main() -> None:
                      sla_level=0.9),
             JobClass("hourly-sync", hourly_sync, jobs_per_day=24.0, sla_level=0.7),
         ],
-        tariff=TariffModel(dollars_per_kwh=0.08, kg_co2_per_kwh=0.37),
+        tariff=flat_tariff(price=0.08, carbon=0.37),
         max_channels=12,
     )
 

@@ -28,7 +28,7 @@ from repro.chaos.scenarios import (
 )
 from repro.chaos.slo import SLOVerdict
 from repro.obs.observer import Observer
-from repro.service.fleet import FleetReport, FleetSimulator
+from repro.service.fleet import FleetSimulator
 from repro.service.requests import workload_by_name
 from repro.service.scheduler import DeferralPolicy, policy_by_name
 from repro.service.simulate import ServiceReport, ServiceSimulator
@@ -64,7 +64,7 @@ class ChaosResult:
     verdict over it."""
 
     scenario: ScenarioScript
-    report: Union[ServiceReport, FleetReport]
+    report: ServiceReport
     verdict: SLOVerdict
     seed: int
 

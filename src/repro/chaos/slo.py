@@ -4,9 +4,9 @@ A :class:`SLORule` names one service-level metric and its budget (the
 worst value the operator tolerates for the scenario); an
 :class:`SLOBudget` bundles the rules a scenario must hold under fault.
 :meth:`SLOBudget.evaluate` reads the metrics off a finished
-:class:`~repro.service.simulate.ServiceReport` or
-:class:`~repro.service.fleet.FleetReport` (duck-typed — both expose
-the same aggregate surface) and returns an :class:`SLOVerdict` with a
+:class:`~repro.service.simulate.ServiceReport` (a
+:class:`~repro.service.fleet.FleetReport` is one) and returns an
+:class:`SLOVerdict` with a
 per-rule burn rate ``value / budget``: under 1.0 the rule holds, over
 it the budget is burnt.
 
@@ -30,15 +30,6 @@ from repro.units import Seconds
 __all__ = ["SLO_METRICS", "SLORule", "SLOCheck", "SLOBudget", "SLOVerdict"]
 
 
-def _jobs_total(report: Any) -> int:
-    """Submitted-job count for either report flavor (FleetReport has
-    ``jobs_total``; ServiceReport carries the job list itself)."""
-    total = getattr(report, "jobs_total", None)
-    if total is not None:
-        return int(total)
-    return len(report.jobs)
-
-
 def _miss_rate(report: Any) -> Optional[float]:
     return float(report.deadline_miss_rate)
 
@@ -55,7 +46,7 @@ def _cost_per_gb(report: Any) -> Optional[float]:
 
 
 def _unfinished_rate(report: Any) -> Optional[float]:
-    total = _jobs_total(report)
+    total = len(report.jobs)
     if total == 0:
         return None
     return report.unfinished_jobs / total

@@ -167,9 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="identical-link shards to run (default 8)")
     p.add_argument("--routing", default="tenant-hash",
                    help="dispatch heuristic: tenant-hash | least-loaded | "
-                        "weighted | round-robin | topology-aware "
-                        "(needs --topology; shards become leaf/pod "
-                        "pairs) (default tenant-hash)")
+                        "weighted | round-robin (default tenant-hash)")
     p.add_argument("--steal-threshold", type=float, default=4.0,
                    help="work-stealing saturation factor over the fleet's "
                         "mean relative backlog; 0 disables (default 4.0)")
@@ -534,19 +532,15 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetModel, JobClass, TariffModel
+    from repro.fleet import FleetModel, JobClass
     from repro.service.tariff import TARIFF_PRESETS, tariff_by_name
 
     testbed = _resolve_testbed(args.testbed)
-    if args.tariff != "flat" and args.tariff not in TARIFF_PRESETS:
+    if args.tariff not in TARIFF_PRESETS:
         print(f"unknown tariff {args.tariff!r}; "
               f"known: {', '.join(sorted(TARIFF_PRESETS))}", file=sys.stderr)
         return 2
-    tariff = (
-        TariffModel()
-        if args.tariff == "flat"
-        else TariffModel.from_trace(tariff_by_name(args.tariff))
-    )
+    tariff = tariff_by_name(args.tariff)
     fleet = FleetModel(
         testbed,
         [

@@ -6,7 +6,6 @@ from repro.fleet.model import (
     FleetModel,
     JobClass,
     PolicyReport,
-    TariffModel,
     global_projection_twh,
 )
 
@@ -14,7 +13,6 @@ __all__ = [
     "FleetModel",
     "JobClass",
     "PolicyReport",
-    "TariffModel",
     "WORLD_TRANSFER_TWH_PER_YEAR",
     "global_projection_twh",
 ]

@@ -24,11 +24,10 @@ from repro.core.mine import MinEAlgorithm
 from repro.core.scheduler import TransferOutcome
 from repro.core.slaee import SLAEEAlgorithm
 from repro.datasets.files import Dataset
-from repro.service.tariff import TariffTrace
+from repro.service.tariff import JOULES_PER_KWH, TariffTrace, flat_tariff
 from repro.testbeds.specs import Testbed
 
 __all__ = [
-    "TariffModel",
     "JobClass",
     "PolicyReport",
     "FleetModel",
@@ -40,75 +39,7 @@ __all__ = [
 #: data transfers worldwide is estimated to be 450 Terawatt hours".
 WORLD_TRANSFER_TWH_PER_YEAR = 450.0
 
-_JOULES_PER_KWH = 3.6e6
 _DAYS_PER_YEAR = 365
-
-
-@dataclass(frozen=True)
-class TariffModel:
-    """Electricity price and carbon intensity of the provider's grid.
-
-    By default the grid is flat: every joule costs
-    ``dollars_per_kwh`` regardless of the hour. Attach a time-of-use
-    ``schedule`` (a :class:`~repro.service.tariff.TariffTrace`) and
-    pass ``start`` (+ optionally ``duration``) to :meth:`dollars` /
-    :meth:`kg_co2` to price energy at the plateau(s) actually in force
-    — the same trace objects the service layer's deferral policies
-    hunt windows in. Calls without ``start`` keep the flat behaviour,
-    so every pre-schedule caller is unchanged.
-    """
-
-    dollars_per_kwh: float = 0.08
-    kg_co2_per_kwh: float = 0.37  # US grid average
-    schedule: Optional[TariffTrace] = None
-
-    def __post_init__(self) -> None:
-        if self.dollars_per_kwh < 0 or self.kg_co2_per_kwh < 0:
-            raise ValueError("tariff values must be >= 0")
-
-    @classmethod
-    def from_trace(cls, trace: TariffTrace) -> "TariffModel":
-        """A TOU tariff whose flat fallback is the trace's time mean."""
-        return cls(
-            dollars_per_kwh=trace.mean_price,
-            kg_co2_per_kwh=trace.mean_carbon,
-            schedule=trace,
-        )
-
-    def price_at(self, t: float) -> float:
-        """$/kWh at absolute time ``t`` (flat rate without a schedule)."""
-        if self.schedule is None:
-            return self.dollars_per_kwh
-        return self.schedule.price_at(t)
-
-    def carbon_at(self, t: float) -> float:
-        """kgCO2/kWh at absolute time ``t``."""
-        if self.schedule is None:
-            return self.kg_co2_per_kwh
-        return self.schedule.carbon_at(t)
-
-    def dollars(
-        self, joules: float, *, start: Optional[float] = None,
-        duration: float = 0.0,
-    ) -> float:
-        """Electricity cost of ``joules`` at this tariff.
-
-        With a schedule and a ``start`` time, the energy is priced over
-        ``[start, start + duration]`` at the schedule's plateaus;
-        otherwise at the flat rate.
-        """
-        if self.schedule is not None and start is not None:
-            return self.schedule.cost(joules, start, duration)
-        return joules / _JOULES_PER_KWH * self.dollars_per_kwh
-
-    def kg_co2(
-        self, joules: float, *, start: Optional[float] = None,
-        duration: float = 0.0,
-    ) -> float:
-        """Emissions attributable to ``joules`` at this grid intensity."""
-        if self.schedule is not None and start is not None:
-            return self.schedule.carbon(joules, start, duration)
-        return joules / _JOULES_PER_KWH * self.kg_co2_per_kwh
 
 
 @dataclass(frozen=True)
@@ -116,10 +47,10 @@ class JobClass:
     """One recurring transfer job: a dataset and how often it runs.
 
     ``start_hour`` (0-24, optional) anchors the class's daily runs on
-    the tariff clock; with a TOU :class:`TariffModel` schedule, the
-    job's energy is then priced at the plateaus it actually spans
-    (a 2 a.m. backup is billed off-peak, a noon sync at peak).
-    Without it the class is priced at the flat/mean rate.
+    the fleet's :class:`~repro.service.tariff.TariffTrace`: the job's
+    energy is then priced at the plateaus it actually spans (a 2 a.m.
+    backup is billed off-peak, a noon sync at peak). Without it the
+    class is priced at the trace's time-mean rate.
     """
 
     name: str
@@ -156,7 +87,13 @@ class PolicyReport:
 
 
 class FleetModel:
-    """A transfer service: one path, a daily job mix, a policy choice."""
+    """A transfer service: one path, a daily job mix, a policy choice.
+
+    ``tariff`` is the provider's grid as a
+    :class:`~repro.service.tariff.TariffTrace` — the same trace objects
+    the service layer bills and defers against (``None`` means
+    :func:`~repro.service.tariff.flat_tariff`).
+    """
 
     #: Policies a provider can operate the fleet under.
     POLICIES = ("promc", "htee", "mine", "slaee")
@@ -166,14 +103,14 @@ class FleetModel:
         testbed: Testbed,
         job_classes: list[JobClass],
         *,
-        tariff: TariffModel = TariffModel(),
+        tariff: Optional[TariffTrace] = None,
         max_channels: Optional[int] = None,
     ) -> None:
         if not job_classes:
             raise ValueError("need at least one job class")
         self.testbed = testbed
         self.job_classes = list(job_classes)
-        self.tariff = tariff
+        self.tariff = tariff if tariff is not None else flat_tariff()
         self.max_channels = (
             max_channels if max_channels is not None else testbed.sla_reference_concurrency
         )
@@ -222,10 +159,9 @@ class FleetModel:
     def report(self, policy: str) -> PolicyReport:
         """Annualized energy/cost/CO2 of running every job under ``policy``.
 
-        With a TOU tariff schedule, classes that declare a
-        ``start_hour`` are billed at the plateaus their daily run
-        actually spans; the rest (and all classes on a flat tariff)
-        are billed at the flat/mean rate.
+        Classes that declare a ``start_hour`` are billed at the tariff
+        plateaus their daily run actually spans; the rest are billed at
+        the trace's time-mean price and carbon intensity.
         """
         joules = hours = jobs = dollars = kg = 0.0
         for job in self.job_classes:
@@ -234,16 +170,16 @@ class FleetModel:
             jobs += annual
             joules += outcome.energy_joules * annual
             hours += outcome.duration_s / 3600.0 * annual
-            start = (
-                job.start_hour * 3600.0 if job.start_hour is not None else None
-            )
-            dollars += annual * self.tariff.dollars(
-                outcome.energy_joules, start=start, duration=outcome.duration_s
-            )
-            kg += annual * self.tariff.kg_co2(
-                outcome.energy_joules, start=start, duration=outcome.duration_s
-            )
-        kwh = joules / _JOULES_PER_KWH
+            energy, duration = outcome.energy_joules, outcome.duration_s
+            if job.start_hour is not None:
+                start = job.start_hour * 3600.0
+                dollars += annual * self.tariff.cost(energy, start, duration)
+                kg += annual * self.tariff.carbon(energy, start, duration)
+            else:
+                kwh = energy / JOULES_PER_KWH
+                dollars += annual * kwh * self.tariff.mean_price
+                kg += annual * kwh * self.tariff.mean_carbon
+        kwh = joules / JOULES_PER_KWH
         return PolicyReport(
             policy=policy,
             annual_jobs=jobs,

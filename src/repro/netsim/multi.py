@@ -325,7 +325,7 @@ class MultiTransferSimulator:
         load. With a topology a job only competes with the streams that
         actually cross a bottleneck on *its* path — the count is the
         worst such hop. On a single shared bottleneck the worst hop
-        carries everyone, so the topology-aware count reduces exactly
+        carries everyone, so the per-path count reduces exactly
         to ``total - own + ambient`` — the byte-identity the single-link
         topology tests pin down.
         """
@@ -556,7 +556,7 @@ class MultiTransferSimulator:
     def scale_bottleneck(self, name: str, scale: float) -> float:
         """Scale one named bottleneck's capacity (targeted brownout).
 
-        The topology-aware sibling of :meth:`set_link_scale`: only
+        The per-bottleneck sibling of :meth:`set_link_scale`: only
         flows whose placed path crosses ``name`` feel it, through the
         next round's water-fill. Engine rate caps carry the bottleneck
         capacities in their allocation-memo signatures, so no cache

@@ -2,15 +2,15 @@
 
 One :class:`~repro.service.simulate.ServiceSimulator` serves one
 link's day well, but a provider operating at millions of jobs per day
-runs a *fleet* of links. This module shards that scale: a
-:class:`FleetSimulator` routes the day's requests across one service
-shard per link (each an unmodified ``ServiceSimulator``), executes the
-shards inline or behind a spawn-safe :class:`ProcessPoolExecutor`, and
-folds the per-shard :class:`~repro.service.simulate.ServiceReport`\\ s
-and observer summaries (via :func:`repro.obs.metrics.merge_summaries`)
-into a single :class:`FleetReport` with fleet-wide and per-tenant /
-per-shard kWh, dollars, kgCO2, deadline-miss rate and slowdown
-percentiles.
+runs a *fleet* of links. This module is the thin router in front of
+it: a :class:`FleetSimulator` routes the day's requests across one
+service shard per link (each an unmodified ``ServiceSimulator``),
+executes the shards inline or behind a spawn-safe
+:class:`ProcessPoolExecutor`, and merges the results. The merged
+:class:`FleetReport` *is* a
+:class:`~repro.service.simulate.ServiceReport` of every shard's jobs
+together, plus per-shard rows, dispatch accounting and the merged
+observer summaries (via :func:`repro.obs.metrics.merge_summaries`).
 
 Routing is deterministic (load-balancer heuristics, no RNG):
 
@@ -20,13 +20,7 @@ Routing is deterministic (load-balancer heuristics, no RNG):
   dispatch time (psim's least-loaded job placement);
 * ``weighted`` — tenant hash mapped through the cumulative shard
   weights, so capacity-weighted shards draw proportional traffic;
-* ``round-robin`` — strict rotation;
-* ``topology-aware`` — shard = endpoint pair of a shared fabric
-  (:func:`topology_pair_shards` carves one picklable per-pair spec per
-  leaf/pod pair): the router water-fills every shard's byte backlog
-  over the fabric (:func:`repro.topo.alloc.refill`, incremental per
-  request), reads the allocator's live ``bottleneck_load``, and sends
-  each job to the pair whose worst trunk is least pressured.
+* ``round-robin`` — strict rotation.
 
 All of them compose with **work stealing**: when the chosen shard's
 weight-relative backlog exceeds ``steal_threshold`` times the fleet
@@ -57,7 +51,6 @@ year; this module actually simulates the fleet's day.)
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import pickle
 import time
@@ -88,18 +81,10 @@ from repro.service.simulate import (
     ServiceReport,
     ServiceSimulator,
     _fmt_pct,
-    _percentile,
 )
 from repro.service.tariff import JOULES_PER_KWH, TariffTrace
 from repro.testbeds.specs import Testbed
-from repro.topo.alloc import AllocationResult, FlowDemand, refill
-from repro.topo.core import (
-    Topology,
-    _float_param,
-    _parse_params,
-    build_topology,
-)
-from repro.units import Joules, Seconds
+from repro.units import Seconds
 
 __all__ = [
     "ROUTING_POLICIES",
@@ -110,14 +95,10 @@ __all__ = [
     "ShardResult",
     "ShardSpec",
     "route_requests",
-    "topology_pair_shards",
 ]
 
 #: Deterministic dispatch heuristics understood by :func:`route_requests`.
-ROUTING_POLICIES = (
-    "tenant-hash", "least-loaded", "weighted", "round-robin",
-    "topology-aware",
-)
+ROUTING_POLICIES = ("tenant-hash", "least-loaded", "weighted", "round-robin")
 
 
 def _stable_hash(text: str) -> int:
@@ -137,92 +118,17 @@ class ShardSpec:
     ``weight`` scales the shard's fair share under ``least-loaded`` /
     ``weighted`` routing and the work-stealing saturation test (a
     weight-2 shard is expected to carry twice the bytes).
-
-    Under ``topology-aware`` routing a shard is one endpoint pair of a
-    shared fabric: ``topology`` is the carved per-pair spec string its
-    executor builds (picklable, so ProcessPool dispatch stays
-    identity-safe), and ``bottlenecks`` names the fabric trunks the
-    router registers the shard's backlog on.
     """
 
     name: str
     testbed: Testbed
     weight: float = 1.0
-    topology: Optional[str] = None
-    bottlenecks: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("shard name must be non-empty")
         if not self.weight > 0:
             raise ValueError("shard weight must be > 0")
-
-
-def topology_pair_shards(
-    testbed: Testbed, topology: str
-) -> list[ShardSpec]:
-    """One shard per endpoint pair of a fleet fabric spec.
-
-    ``leaf-spine:s=S,l=L`` yields ``L*(L-1)/2`` shards (one per
-    unordered leaf pair), ``fat-tree:k=K`` one per pod pair. Each
-    shard's carved spec keeps the fabric shape but pre-divides the
-    shared capacity factors — an endpoint trunk is shared by the
-    ``L-1`` (or ``K-1``) pairs touching it, a spine/core by every
-    pair — so the independently simulated shards cannot jointly
-    over-provision the fabric. ``bottlenecks`` names the pair's two
-    endpoint trunks in the *fleet* fabric, which is what the
-    topology-aware router registers backlog demand on.
-    """
-    kind, _, body = topology.partition(":")
-    params = _parse_params(body)
-    if kind == "leaf-spine":
-        spines = int(_float_param(params, "s", 2))
-        leaves = int(_float_param(params, "l", 4))
-        leaf_f = _float_param(params, "leaf", 1.0)
-        spine_f = _float_param(params, "spine", 1.0)
-        if params:
-            raise ValueError(
-                f"unknown leaf-spine parameters: {sorted(params)}"
-            )
-        pairs = [(a, b) for a in range(leaves) for b in range(a + 1, leaves)]
-        return [
-            ShardSpec(
-                name=f"p{a}-{b}",
-                testbed=testbed,
-                topology=(
-                    f"leaf-spine:s={spines},l={leaves},"
-                    f"leaf={leaf_f / (leaves - 1)!r},"
-                    f"spine={spine_f / len(pairs)!r},pair={a}-{b}"
-                ),
-                bottlenecks=(f"leaf{a}", f"leaf{b}"),
-            )
-            for a, b in pairs
-        ]
-    if kind == "fat-tree":
-        k = int(_float_param(params, "k", 4))
-        edge_f = _float_param(params, "edge", 1.0)
-        core_f = _float_param(params, "core", 1.0)
-        if params:
-            raise ValueError(
-                f"unknown fat-tree parameters: {sorted(params)}"
-            )
-        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-        return [
-            ShardSpec(
-                name=f"p{a}-{b}",
-                testbed=testbed,
-                topology=(
-                    f"fat-tree:k={k},edge={edge_f / (k - 1)!r},"
-                    f"core={core_f / len(pairs)!r},pair={a}-{b}"
-                ),
-                bottlenecks=(f"pod{a}", f"pod{b}"),
-            )
-            for a, b in pairs
-        ]
-    raise ValueError(
-        "topology-aware sharding needs a multi-endpoint fabric "
-        f"(leaf-spine or fat-tree), got {topology!r}"
-    )
 
 
 @dataclass(frozen=True)
@@ -243,7 +149,6 @@ def route_requests(
     routing: str = "tenant-hash",
     steal_threshold: Optional[float] = 4.0,
     observer: Optional[Observer] = None,
-    topology: Optional[Topology] = None,
 ) -> RoutingResult:
     """Assign every request to a shard with the chosen heuristic.
 
@@ -256,15 +161,6 @@ def route_requests(
     mean`` hands the job to the least-loaded shard instead (work
     stealing at dispatch time, so the decision is deterministic and
     reproducible from the same inputs).
-
-    ``topology-aware`` routing additionally needs the fleet fabric
-    ``topology`` and per-shard ``bottlenecks``: each dispatch
-    water-fills every backlogged shard's bytes over the fabric
-    (incrementally — :func:`repro.topo.alloc.refill` re-solves only
-    the interference component the previous dispatch touched), then
-    picks the shard whose worst endpoint trunk has the lowest
-    ``(bottleneck_load + request bytes) / capacity`` pressure, ties to
-    the lowest shard index.
     """
     if routing not in ROUTING_POLICIES:
         raise ValueError(
@@ -277,27 +173,7 @@ def route_requests(
     names = [spec.name for spec in shards]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate shard names: {sorted(names)}")
-    if routing == "topology-aware":
-        if topology is None:
-            raise ValueError(
-                "topology-aware routing requires the fleet fabric "
-                "(pass topology=...)"
-            )
-        known = set(topology.bottlenecks)
-        for spec in shards:
-            if not spec.bottlenecks:
-                raise ValueError(
-                    f"shard {spec.name!r} declares no fabric bottlenecks "
-                    "(required for topology-aware routing)"
-                )
-            unknown = [h for h in spec.bottlenecks if h not in known]
-            if unknown:
-                raise ValueError(
-                    f"shard {spec.name!r} references unknown fabric "
-                    f"bottleneck(s): {unknown}"
-                )
     n = len(shards)
-    prev_alloc: Optional[AllocationResult] = None
     weights = np.array([spec.weight for spec in shards], dtype=np.float64)
     total_weight = float(weights.sum())
     cumulative = np.cumsum(weights) / total_weight
@@ -317,30 +193,6 @@ def route_requests(
         elif routing == "round-robin":
             chosen = rr % n
             rr += 1
-        elif routing == "topology-aware":
-            assert topology is not None
-            flows = [
-                FlowDemand(spec.name, spec.bottlenecks, float(backlog[i]))
-                for i, spec in enumerate(shards)
-                if backlog[i] > 0.0
-            ]
-            prev_alloc = refill(topology, flows, prev_alloc)
-            load = prev_alloc.bottleneck_load
-            # Worst-trunk pressure first; allocated load saturates at
-            # capacity, so ties (a fully loaded fabric) fall back to
-            # weight-relative byte backlog, then lowest shard index.
-            chosen = 0
-            best: tuple[float, float] = (math.inf, math.inf)
-            for i, spec in enumerate(shards):
-                pressure = max(
-                    (load.get(hop, 0.0) + request.total_bytes)
-                    / topology.capacity(hop)
-                    for hop in spec.bottlenecks
-                )
-                score = (pressure, float(backlog[i]) / shards[i].weight)
-                if score < best:
-                    best = score
-                    chosen = i
         else:  # least-loaded
             chosen = int(np.argmin(backlog / weights))
         if steal_threshold is not None and n > 1 and backlog[chosen] > 0.0:
@@ -443,21 +295,27 @@ class ShardResult:
     report: ServiceReport
 
 
-@dataclass
-class FleetReport:
-    """Merged fleet-wide view of every shard's service day.
+@dataclass(kw_only=True)
+class FleetReport(ServiceReport):
+    """The fleet's day as one service report over every shard's jobs.
 
-    Aggregates are ``cached_property``\\ s computed once on first
-    access (the report is read-only by convention, like
-    :class:`~repro.service.simulate.ServiceReport`). Unlike a shard
-    report, :meth:`to_dict` carries **no per-job rows** — at fleet
-    scale (1M jobs) those belong in the shard reports, not in one JSON
-    blob.
+    ``jobs`` are every shard's jobs in shard order, ``makespan_s`` is
+    the slowest shard's (shards simulate the same day in parallel, so
+    the fleet's day ends with its slowest shard), ``truncated`` is any
+    shard's and ``testbed`` names the shards' distinct testbeds; all
+    four are derived from ``shards`` at construction. Every inherited
+    aggregate — totals, miss rate, slowdown and turnaround percentiles,
+    queue wait, per-tenant rows — is therefore computed over the
+    merged job list. Unlike a shard report, :meth:`to_dict` carries
+    **no per-job rows** — at fleet scale (1M jobs) those belong in the
+    shard reports, not in one JSON blob.
     """
 
+    testbed: str = field(init=False, default="")
+    jobs: list[JobResult] = field(init=False, default_factory=list)
+    makespan_s: Seconds = field(init=False, default=0.0)
+    truncated: bool = field(init=False, default=False)
     routing: str
-    policy: str
-    tariff: str
     shards: list[ShardResult] = field(default_factory=list)
     work_steals: int = 0
     #: Real dispatch wall-clock for the whole fleet run (seconds); the
@@ -469,137 +327,22 @@ class FleetReport:
     #: when the fleet ran unobserved.
     metrics: Optional[dict] = None
 
-    # -- aggregates (computed once) -------------------------------------
-
-    def _jobs(self) -> list[JobResult]:
-        return [job for shard in self.shards for job in shard.report.jobs]
-
-    @cached_property
-    def jobs_total(self) -> int:
-        return sum(len(shard.report.jobs) for shard in self.shards)
-
-    @cached_property
-    def total_bytes(self) -> int:
-        return sum(shard.report.total_bytes for shard in self.shards)
-
-    @cached_property
-    def total_energy_j(self) -> Joules:
-        return sum(shard.report.total_energy_j for shard in self.shards)
-
-    @cached_property
-    def total_cost_usd(self) -> float:
-        return sum(shard.report.total_cost_usd for shard in self.shards)
-
-    @cached_property
-    def total_kg_co2(self) -> float:
-        return sum(shard.report.total_kg_co2 for shard in self.shards)
-
-    @cached_property
-    def deferred_jobs(self) -> int:
-        return sum(shard.report.deferred_jobs for shard in self.shards)
-
-    @cached_property
-    def deadline_miss_rate(self) -> float:
-        """Misses over jobs that *have* deadlines, fleet-wide."""
-        with_deadline = [j for j in self._jobs() if j.deadline is not None]
-        if not with_deadline:
-            return 0.0
-        return sum(j.deadline_missed for j in with_deadline) / len(with_deadline)
-
-    @cached_property
-    def slowdowns(self) -> list[float]:
-        return [s for shard in self.shards for s in shard.report.slowdowns]
-
-    @cached_property
-    def p50_slowdown(self) -> Optional[float]:
-        """``None`` when no job finished fleet-wide."""
-        return _percentile(self.slowdowns, 50.0)
-
-    @cached_property
-    def p95_slowdown(self) -> Optional[float]:
-        """``None`` when no job finished fleet-wide."""
-        return _percentile(self.slowdowns, 95.0)
-
-    @cached_property
-    def turnarounds(self) -> list[Seconds]:
-        """Per-finished-job submit → complete latency (the tenant-visible
-        end-to-end latency, for percentiles)."""
-        return [j.turnaround_s for j in self._jobs() if j.finished]
-
-    @cached_property
-    def p95_turnaround_s(self) -> Optional[Seconds]:
-        """``None`` when no job finished fleet-wide."""
-        return _percentile(self.turnarounds, 95.0)
-
-    @cached_property
-    def truncated(self) -> bool:
-        """True when any shard's day was cut off at ``max_time``."""
-        return any(shard.report.truncated for shard in self.shards)
-
-    @cached_property
-    def unfinished_jobs(self) -> int:
-        return sum(shard.report.unfinished_jobs for shard in self.shards)
-
-    @cached_property
-    def mean_turnaround_s(self) -> Seconds:
-        if not self.turnarounds:
-            return 0.0
-        return sum(self.turnarounds) / len(self.turnarounds)
-
-    @cached_property
-    def mean_queue_wait_s(self) -> Seconds:
-        admitted = [j for j in self._jobs() if j.admitted_at is not None]
-        if not admitted:
-            return 0.0
-        return sum(j.queue_wait_s for j in admitted) / len(admitted)
-
-    @cached_property
-    def makespan_s(self) -> Seconds:
-        """Largest shard makespan (shards simulate the same day in
-        parallel, so the fleet's day ends with its slowest shard)."""
-        return max((s.report.makespan_s for s in self.shards), default=0.0)
+    def __post_init__(self) -> None:
+        reports = [shard.report for shard in self.shards]
+        self.testbed = ",".join(dict.fromkeys(r.testbed for r in reports))
+        self.jobs = [job for report in reports for job in report.jobs]
+        self.makespan_s = max((r.makespan_s for r in reports), default=0.0)
+        self.truncated = any(r.truncated for r in reports)
 
     @property
     def jobs_per_sec(self) -> float:
         """Simulated jobs per real second of fleet execution."""
-        return self.jobs_total / self.wall_s if self.wall_s > 0 else 0.0
+        return len(self.jobs) / self.wall_s if self.wall_s > 0 else 0.0
 
     @property
     def jobs_per_day(self) -> float:
         """Throughput headline: jobs the fleet simulates per real day."""
         return self.jobs_per_sec * 86400.0
-
-    @cached_property
-    def per_tenant(self) -> dict[str, dict]:
-        """Shard per-tenant rows merged fleet-wide (counters add; queue
-        waits re-average weighted by job count)."""
-        out: dict[str, dict] = {}
-        for shard in self.shards:
-            for tenant, row in shard.report.per_tenant.items():
-                # weight by *admitted* jobs: a shard where this tenant
-                # had nothing admitted contributes no wait mass, so a
-                # zero-admitted tenant divides by 0 jobs nowhere and a
-                # disjoint-tenant merge reproduces each shard's mean.
-                if tenant not in out:
-                    out[tenant] = dict(row)
-                    out[tenant]["_wait_sum"] = (
-                        row["mean_queue_wait_s"] * row["admitted"]
-                    )
-                    continue
-                merged = out[tenant]
-                for key in (
-                    "jobs", "admitted", "bytes", "kwh", "cost_usd",
-                    "kg_co2", "deferred", "deadline_misses",
-                ):
-                    merged[key] += row[key]
-                merged["_wait_sum"] += row["mean_queue_wait_s"] * row["admitted"]
-        for tenant in out:
-            row = out[tenant]
-            wait_sum = row.pop("_wait_sum")
-            row["mean_queue_wait_s"] = (
-                wait_sum / row["admitted"] if row["admitted"] else 0.0
-            )
-        return dict(sorted(out.items()))
 
     @cached_property
     def per_shard(self) -> list[dict]:
@@ -632,34 +375,16 @@ class FleetReport:
     # -- serialization / rendering --------------------------------------
 
     def to_dict(self) -> dict:
-        """Fleet totals, per-tenant and per-shard rows as a JSON-safe
-        dict (no per-job rows — see class docstring)."""
+        """The service report's dict without per-job rows (see class
+        docstring), plus the dispatch fields and per-shard rows."""
         return {
+            **self._summary_dict(),
             "routing": self.routing,
-            "policy": self.policy,
-            "tariff": self.tariff,
             "shards": len(self.shards),
-            "jobs": self.jobs_total,
-            "total_bytes": self.total_bytes,
-            "total_gb": units.to_GB(self.total_bytes),
-            "total_kwh": self.total_energy_j / JOULES_PER_KWH,
-            "total_cost_usd": self.total_cost_usd,
-            "total_kg_co2": self.total_kg_co2,
-            "deferred_jobs": self.deferred_jobs,
-            "deadline_miss_rate": self.deadline_miss_rate,
-            "p50_slowdown": self.p50_slowdown,
-            "p95_slowdown": self.p95_slowdown,
-            "mean_queue_wait_s": self.mean_queue_wait_s,
-            "p95_turnaround_s": self.p95_turnaround_s,
-            "mean_turnaround_s": self.mean_turnaround_s,
-            "makespan_s": self.makespan_s,
-            "truncated": self.truncated,
-            "unfinished_jobs": self.unfinished_jobs,
             "work_steals": self.work_steals,
             "wall_s": self.wall_s,
             "jobs_per_sec": self.jobs_per_sec,
             "jobs_per_day": self.jobs_per_day,
-            "per_tenant": self.per_tenant,
             "per_shard": self.per_shard,
         }
 
@@ -679,7 +404,7 @@ class FleetReport:
             f"Fleet day across {len(self.shards)} shards "
             f"(routing={self.routing}, policy={self.policy}, "
             f"tariff={self.tariff}):",
-            f"  {self.jobs_total} jobs, {units.to_GB(self.total_bytes):.1f} GB, "
+            f"  {len(self.jobs)} jobs, {units.to_GB(self.total_bytes):.1f} GB, "
             f"makespan {self.makespan_s:.0f} s, "
             f"wall {self.wall_s:.1f} s "
             f"({self.jobs_per_sec:.0f} jobs/s, "
@@ -706,18 +431,7 @@ class FleetReport:
                 f"{row['stolen_in']:>3d}/{row['stolen_out']:<3d} "
                 f"{row['wall_s']:>7.1f}"
             )
-        lines.append(
-            f"  {'tenant':<10s} {'jobs':>7s} {'GB':>9s} {'kWh':>8s} "
-            f"{'$':>9s} {'kgCO2':>8s} {'defer':>5s} {'miss':>4s} {'wait s':>8s}"
-        )
-        for tenant, row in self.per_tenant.items():
-            lines.append(
-                f"  {tenant:<10s} {row['jobs']:>7d} "
-                f"{units.to_GB(row['bytes']):>9.1f} {row['kwh']:>8.3f} "
-                f"{row['cost_usd']:>9.4f} {row['kg_co2']:>8.4f} "
-                f"{row['deferred']:>5d} {row['deadline_misses']:>4d} "
-                f"{row['mean_queue_wait_s']:>8.0f}"
-            )
+        lines += self._tenant_table()
         return "\n".join(lines)
 
 
@@ -750,16 +464,16 @@ def _run_shard(payload: dict) -> dict:
         partition_policy=payload["partition_policy"],
         observer=observer,
         fast=payload["fast"],
-        topology=payload.get("topology"),
-        placement=payload.get("placement", "least-congested"),
-        placement_seed=payload.get("placement_seed", 0),
+        topology=payload["topology"],
+        placement=payload["placement"],
+        placement_seed=payload["placement_seed"],
     )
     start = time.perf_counter()  # repro: noqa[RPL002] — real shard wall-clock, reported outside the determinism contract
     report = simulator.run(
         payload["requests"],
         max_time=payload["max_time"],
-        interventions=payload.get("interventions", ()),
-        on_timeout=payload.get("on_timeout", "raise"),
+        interventions=payload["interventions"],
+        on_timeout=payload["on_timeout"],
     )
     wall_s = time.perf_counter() - start  # repro: noqa[RPL002] — see above
     return {
@@ -783,10 +497,11 @@ class FleetSimulator:
     (a homogeneous fleet of identical links, shards named ``s0..sN``)
     or with explicit ``shard_specs`` (heterogeneous links and weights).
     Every per-shard knob (``max_concurrent_jobs``, ``max_per_tenant``,
-    ``max_channels``, ``partition_policy``, ``fast``) is passed through
-    to each shard's :class:`~repro.service.simulate.ServiceSimulator`
-    unchanged, so a one-shard fleet reproduces the plain service
-    exactly.
+    ``max_channels``, ``partition_policy``, ``fast``, ``topology``,
+    ``placement``) is passed through to each shard's
+    :class:`~repro.service.simulate.ServiceSimulator` unchanged — with
+    a ``topology`` spec every shard runs its own copy of the fabric —
+    so a one-shard fleet reproduces the plain service exactly.
 
     ``workers`` bounds real parallelism: ``None`` picks
     ``min(shards, cpu_count)``; ``1`` runs shards inline (no process
@@ -867,44 +582,6 @@ class FleetSimulator:
         self.warm_context = warm_context
         #: Set by :meth:`run`: the accumulated warm-start context.
         self.last_context: Optional[FleetContext] = None
-        #: The fleet fabric the topology-aware router water-fills over
-        #: (built once here, never pickled — shards rebuild their own
-        #: carved views from their spec strings).
-        self._fabric: Optional[Topology] = None
-        if routing == "topology-aware":
-            if self.topology is None:
-                raise ValueError(
-                    "topology-aware routing requires a fleet topology "
-                    "spec (pass topology='leaf-spine:...' or "
-                    "'fat-tree:...')"
-                )
-            if shard_specs is None:
-                # shard = endpoint pair: replace the homogeneous
-                # s0..sN shards (the ``shards`` count is ignored) with
-                # one carved shard per fabric pair
-                assert testbed is not None
-                self.shards = topology_pair_shards(testbed, self.topology)
-            self._fabric = build_topology(
-                self.topology,
-                bandwidth=self.shards[0].testbed.path.bandwidth,
-            )
-            known = set(self._fabric.bottlenecks)
-            for spec in self.shards:
-                if not spec.bottlenecks:
-                    raise ValueError(
-                        f"shard {spec.name!r} declares no fabric "
-                        "bottlenecks (required for topology-aware "
-                        "routing)"
-                    )
-                unknown = [
-                    h for h in spec.bottlenecks if h not in known
-                ]
-                if unknown:
-                    raise ValueError(
-                        f"shard {spec.name!r} references unknown fabric "
-                        f"bottleneck(s): {unknown}"
-                    )
-
     # ------------------------------------------------------------------
 
     def _payloads(
@@ -929,11 +606,7 @@ class FleetSimulator:
                 "max_channels": self.max_channels,
                 "partition_policy": self.partition_policy,
                 "fast": self.fast,
-                "topology": (
-                    spec.topology
-                    if spec.topology is not None
-                    else self.topology
-                ),
+                "topology": self.topology,
                 "placement": self.placement,
                 "placement_seed": self.placement_seed,
                 "max_time": max_time,
@@ -973,7 +646,6 @@ class FleetSimulator:
             routing=self.routing,
             steal_threshold=self.steal_threshold,
             observer=self.observer,
-            topology=self._fabric,
         )
         payloads = self._payloads(routed, max_time, interventions, on_timeout)
         if self.observer is not None:
@@ -1032,6 +704,8 @@ class FleetSimulator:
             routing=self.routing,
             policy=self.policy.name,
             tariff=self.tariff.name,
+            topology=self.topology,
+            placement=None if self.topology is None else self.placement,
             shards=shard_results,
             work_steals=routed.steals,
             wall_s=wall_s,

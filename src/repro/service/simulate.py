@@ -292,6 +292,24 @@ class ServiceReport:
         return _percentile(self.slowdowns, 95.0)
 
     @cached_property
+    def turnarounds(self) -> list[Seconds]:
+        """Per-finished-job submit -> complete latency in seconds (the
+        tenant-visible end-to-end latency, for percentiles)."""
+        return [j.turnaround_s for j in self.jobs if j.finished]
+
+    @cached_property
+    def p95_turnaround_s(self) -> Optional[Seconds]:
+        """``None`` when no job finished (see :func:`_percentile`)."""
+        return _percentile(self.turnarounds, 95.0)
+
+    @cached_property
+    def mean_turnaround_s(self) -> Seconds:
+        """Mean turnaround in seconds over finished jobs."""
+        if not self.turnarounds:
+            return 0.0
+        return sum(self.turnarounds) / len(self.turnarounds)
+
+    @cached_property
     def mean_queue_wait_s(self) -> Seconds:
         """Mean submission -> admission wait in seconds."""
         admitted = [j for j in self.jobs if j.admitted_at is not None]
@@ -334,9 +352,9 @@ class ServiceReport:
 
     # -- serialization / rendering --------------------------------------
 
-    def to_dict(self) -> dict:
-        """The full report (totals, per-tenant, per-job) as a
-        JSON-safe dict."""
+    def _summary_dict(self) -> dict:
+        """Totals and per-tenant rows as a JSON-safe dict (everything
+        :meth:`to_dict` emits except the per-job rows)."""
         return {
             "testbed": self.testbed,
             "policy": self.policy,
@@ -352,14 +370,39 @@ class ServiceReport:
             "p50_slowdown": self.p50_slowdown,
             "p95_slowdown": self.p95_slowdown,
             "mean_queue_wait_s": self.mean_queue_wait_s,
+            "p95_turnaround_s": self.p95_turnaround_s,
+            "mean_turnaround_s": self.mean_turnaround_s,
             "makespan_s": self.makespan_s,
             "truncated": self.truncated,
             "topology": self.topology,
             "placement": self.placement,
             "unfinished_jobs": self.unfinished_jobs,
             "per_tenant": self.per_tenant,
+        }
+
+    def to_dict(self) -> dict:
+        """The full report (totals, per-tenant, per-job) as a
+        JSON-safe dict."""
+        return {
+            **self._summary_dict(),
             "job_results": [j.to_dict() for j in self.jobs],
         }
+
+    def _tenant_table(self) -> list[str]:
+        """The per-tenant rows as aligned text lines, header first."""
+        lines = [
+            f"  {'tenant':<10s} {'jobs':>7s} {'GB':>9s} {'kWh':>8s} "
+            f"{'$':>9s} {'kgCO2':>8s} {'defer':>5s} {'miss':>4s} {'wait s':>8s}"
+        ]
+        for tenant, row in self.per_tenant.items():
+            lines.append(
+                f"  {tenant:<10s} {row['jobs']:>7d} "
+                f"{units.to_GB(row['bytes']):>9.1f} {row['kwh']:>8.3f} "
+                f"{row['cost_usd']:>9.4f} {row['kg_co2']:>8.4f} "
+                f"{row['deferred']:>5d} {row['deadline_misses']:>4d} "
+                f"{row['mean_queue_wait_s']:>8.0f}"
+            )
+        return lines
 
     def render(self) -> str:
         """The report as an aligned, human-readable block of text."""
@@ -385,19 +428,8 @@ class ServiceReport:
             f"slowdown p50 {_fmt_pct(self.p50_slowdown)} "
             f"/ p95 {_fmt_pct(self.p95_slowdown)}, "
             f"mean queue wait {self.mean_queue_wait_s:.0f} s",
+            *self._tenant_table(),
         ]
-        lines.append(
-            f"  {'tenant':<10s} {'jobs':>4s} {'GB':>8s} {'kWh':>8s} "
-            f"{'$':>9s} {'kgCO2':>8s} {'defer':>5s} {'miss':>4s} {'wait s':>8s}"
-        )
-        for tenant, row in self.per_tenant.items():
-            lines.append(
-                f"  {tenant:<10s} {row['jobs']:>4d} "
-                f"{units.to_GB(row['bytes']):>8.1f} {row['kwh']:>8.3f} "
-                f"{row['cost_usd']:>9.4f} {row['kg_co2']:>8.4f} "
-                f"{row['deferred']:>5d} {row['deadline_misses']:>4d} "
-                f"{row['mean_queue_wait_s']:>8.0f}"
-            )
         return "\n".join(lines)
 
 

@@ -8,7 +8,7 @@ a :class:`TariffTrace` is a periodic, piecewise-constant schedule of
 electricity price ($/kWh) and grid carbon intensity (kgCO2/kWh),
 shared by the service layer (per-step cost accounting, deferral
 policies hunting cheap/green windows) and by
-:class:`repro.fleet.TariffModel` (fleet-scale projections).
+:class:`repro.fleet.FleetModel` (fleet-scale projections).
 
 Everything is deterministic and analytic: segment boundaries are
 exposed through :meth:`TariffTrace.next_change` so both the service
@@ -268,7 +268,7 @@ def _hours(*segments: tuple[float, float, float]) -> tuple[tuple[float, float, f
 def flat_tariff(
     price: float = 0.08, carbon: float = 0.37, *, period_s: float = DAY_S
 ) -> TariffTrace:
-    """A constant price/intensity (the legacy ``TariffModel`` default)
+    """A constant price/intensity (the US grid average by default)
     repeating every ``period_s`` seconds."""
     return TariffTrace(name="flat", points=((0.0, price, carbon),), period_s=period_s)
 

@@ -314,7 +314,6 @@ def leaf_spine(
     *,
     leaf_capacity: BytesPerSecond,
     spine_capacity: Optional[BytesPerSecond] = None,
-    pair: Optional[tuple[int, int]] = None,
 ) -> Topology:
     """A two-tier leaf-spine fabric (capacities in bytes/s).
 
@@ -322,13 +321,6 @@ def leaf_spine(
     bottleneck. A path between two distinct leaves crosses
     ``(leaf_a, spine_j, leaf_b)`` — one path per spine, which is what
     gives the placement policies a real choice.
-
-    ``pair=(a, b)`` restricts the path set to the single leaf pair
-    ``leaf{a} -> leaf{b}`` (one direction, one candidate per spine)
-    while keeping every bottleneck — the carved per-shard view the
-    topology-aware fleet router hands each shard, with the shared
-    leaf/spine capacities pre-divided by the shard count through the
-    spec's capacity factors.
     """
     if spines < 1:
         raise ValueError("leaf-spine needs at least 1 spine")
@@ -336,13 +328,6 @@ def leaf_spine(
         raise ValueError("leaf-spine needs at least 2 leaves")
     if spine_capacity is None:
         spine_capacity = leaf_capacity
-    if pair is not None:
-        a, b = pair
-        if not (0 <= a < leaves and 0 <= b < leaves) or a == b:
-            raise ValueError(
-                f"pair must name two distinct leaves in [0, {leaves}), "
-                f"got {pair}"
-            )
     bottlenecks = [
         Bottleneck(f"leaf{i}", leaf_capacity) for i in range(leaves)
     ] + [Bottleneck(f"spine{j}", spine_capacity) for j in range(spines)]
@@ -355,13 +340,12 @@ def leaf_spine(
         )
         for a in range(leaves)
         for b in range(leaves)
-        if a != b and (pair is None or (a, b) == pair)
+        if a != b
         for j in range(spines)
     ]
-    name = f"leaf-spine:s={spines},l={leaves}"
-    if pair is not None:
-        name += f",pair={pair[0]}-{pair[1]}"
-    return Topology(bottlenecks, paths, name=name)
+    return Topology(
+        bottlenecks, paths, name=f"leaf-spine:s={spines},l={leaves}"
+    )
 
 
 def fat_tree(
@@ -369,7 +353,6 @@ def fat_tree(
     *,
     edge_capacity: BytesPerSecond,
     core_capacity: Optional[BytesPerSecond] = None,
-    pair: Optional[tuple[int, int]] = None,
 ) -> Topology:
     """A k-ary fat-tree at pod granularity (capacities in bytes/s).
 
@@ -378,23 +361,12 @@ def fat_tree(
     and each core switch as one bottleneck; a path between two
     distinct pods crosses ``(pod_a, core_c, pod_b)`` — one candidate
     per core, the ECMP fan-out the load balancer chooses over.
-
-    ``pair=(a, b)`` restricts the path set to the single pod pair
-    ``pod{a} -> pod{b}`` (one direction, one candidate per core) —
-    the fat-tree analogue of the leaf-spine carve (see
-    :func:`leaf_spine`).
     """
     if k < 2 or k % 2 != 0:
         raise ValueError("fat-tree k must be an even integer >= 2")
     if core_capacity is None:
         core_capacity = edge_capacity
     cores = (k // 2) ** 2
-    if pair is not None:
-        a, b = pair
-        if not (0 <= a < k and 0 <= b < k) or a == b:
-            raise ValueError(
-                f"pair must name two distinct pods in [0, {k}), got {pair}"
-            )
     bottlenecks = [
         Bottleneck(f"pod{i}", edge_capacity) for i in range(k)
     ] + [Bottleneck(f"core{c}", core_capacity) for c in range(cores)]
@@ -407,13 +379,10 @@ def fat_tree(
         )
         for a in range(k)
         for b in range(k)
-        if a != b and (pair is None or (a, b) == pair)
+        if a != b
         for c in range(cores)
     ]
-    name = f"fat-tree:k={k}"
-    if pair is not None:
-        name += f",pair={pair[0]}-{pair[1]}"
-    return Topology(bottlenecks, paths, name=name)
+    return Topology(bottlenecks, paths, name=f"fat-tree:k={k}")
 
 
 def from_edges(
@@ -446,7 +415,7 @@ def from_edges(
 
 def _parse_params(body: str) -> dict[str, str]:
     """Split a spec body into raw key/value strings (values convert
-    per-key: capacity factors are floats, ``pair`` is ``a-b``)."""
+    per-key to floats)."""
     params: dict[str, str] = {}
     if not body:
         return params
@@ -472,22 +441,6 @@ def _float_param(params: dict[str, str], key: str, default: float) -> float:
         ) from None
 
 
-def _pair_param(params: dict[str, str]) -> Optional[tuple[int, int]]:
-    value = params.pop("pair", None)
-    if value is None:
-        return None
-    left, sep, right = value.partition("-")
-    try:
-        if not sep:
-            raise ValueError(value)
-        return (int(left), int(right))
-    except ValueError:
-        raise ValueError(
-            f"malformed topology parameter value {value!r} for 'pair' "
-            "(expected two endpoint indices as a-b)"
-        ) from None
-
-
 def build_topology(spec: str, *, bandwidth: BytesPerSecond) -> Topology:
     """Build a topology from its spec string against a base bandwidth
     (bytes/s).
@@ -495,12 +448,8 @@ def build_topology(spec: str, *, bandwidth: BytesPerSecond) -> Topology:
     Syntax (capacity factors are fractions of ``bandwidth``)::
 
         single-link
-        leaf-spine:s=2,l=4[,spine=0.5][,leaf=1.0][,pair=0-1]
-        fat-tree:k=4[,core=0.5][,edge=1.0][,pair=0-1]
-
-    ``pair=a-b`` carves the fabric down to one endpoint pair's paths
-    (all bottlenecks kept) — the per-shard view the topology-aware
-    fleet router ships through the process pool.
+        leaf-spine:s=2,l=4[,spine=0.5][,leaf=1.0]
+        fat-tree:k=4[,core=0.5][,edge=1.0]
 
     The spec string is the picklable, scenario- and CLI-friendly form:
     fleet shards and chaos scripts carry the string and rebuild the
@@ -517,27 +466,23 @@ def build_topology(spec: str, *, bandwidth: BytesPerSecond) -> Topology:
         leaves = int(_float_param(params, "l", 4))
         leaf_cap = _float_param(params, "leaf", 1.0) * bandwidth
         spine_cap = _float_param(params, "spine", 1.0) * bandwidth
-        pair = _pair_param(params)
         if params:
             raise ValueError(
                 f"unknown leaf-spine parameters: {sorted(params)}"
             )
         return leaf_spine(
             spines, leaves, leaf_capacity=leaf_cap,
-            spine_capacity=spine_cap, pair=pair,
+            spine_capacity=spine_cap,
         )
     if kind == "fat-tree":
         k = int(_float_param(params, "k", 4))
         edge_cap = _float_param(params, "edge", 1.0) * bandwidth
         core_cap = _float_param(params, "core", 1.0) * bandwidth
-        pair = _pair_param(params)
         if params:
             raise ValueError(
                 f"unknown fat-tree parameters: {sorted(params)}"
             )
-        return fat_tree(
-            k, edge_capacity=edge_cap, core_capacity=core_cap, pair=pair
-        )
+        return fat_tree(k, edge_capacity=edge_cap, core_capacity=core_cap)
     raise ValueError(
         f"unknown topology spec {spec!r}; known kinds: "
         "single-link, leaf-spine, fat-tree"

@@ -7,9 +7,9 @@ from repro.fleet import (
     FleetModel,
     JobClass,
     PolicyReport,
-    TariffModel,
     global_projection_twh,
 )
+from repro.service.tariff import flat_tariff
 
 
 @pytest.fixture
@@ -23,17 +23,29 @@ def fleet(small_testbed):
 
 
 class TestTariffModel:
-    def test_dollars(self):
-        tariff = TariffModel(dollars_per_kwh=0.10)
-        assert tariff.dollars(3.6e6) == pytest.approx(0.10)
+    """The projection's tariff model is a ``TariffTrace``: flat by
+    default, one price and intensity for every joule."""
 
-    def test_co2(self):
-        tariff = TariffModel(kg_co2_per_kwh=0.5)
-        assert tariff.kg_co2(7.2e6) == pytest.approx(1.0)
+    def test_dollars(self, small_testbed):
+        jobs = [JobClass("j", small_testbed.dataset_factory, jobs_per_day=2.0)]
+        report = FleetModel(
+            small_testbed, jobs, tariff=flat_tariff(price=0.10),
+            max_channels=4,
+        ).report("promc")
+        assert report.annual_cost_dollars == pytest.approx(
+            report.annual_energy_kwh * 0.10
+        )
+
+    def test_co2(self, fleet):
+        assert fleet.tariff == flat_tariff()
+        report = fleet.report("promc")
+        assert report.annual_kg_co2 == pytest.approx(
+            report.annual_energy_kwh * 0.37
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TariffModel(dollars_per_kwh=-1)
+            flat_tariff(price=-1)
 
 
 class TestJobClass:

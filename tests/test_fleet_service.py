@@ -20,6 +20,7 @@ from repro.service import (
     FleetContext,
     FleetSimulator,
     RunNow,
+    ServiceReport,
     ServiceSimulator,
     ShardSpec,
     TransferRequest,
@@ -30,7 +31,6 @@ from repro.service import (
 )
 from repro.service.fleet import ROUTING_POLICIES
 from repro.testbeds.specs import testbed_by_name as named_testbed
-from repro.topo.core import build_topology
 
 DAY = 600.0
 
@@ -132,20 +132,9 @@ class TestRouting:
             make_request(name=f"j{i}", tenant=f"t{i % 5}", submit=float(i % 7))
             for i in range(20)
         ]
-        fabric = build_topology("leaf-spine:s=2,l=3",
-                                bandwidth=specs3[0].testbed.path.bandwidth)
-        topo_specs = [
-            ShardSpec(f"p0-{i + 1}", specs3[0].testbed,
-                      bottlenecks=("leaf0", f"leaf{i + 1}"))
-            for i in range(2)
-        ] + [ShardSpec("p1-2", specs3[0].testbed,
-                       bottlenecks=("leaf1", "leaf2"))]
         for routing in ROUTING_POLICIES:
-            specs = topo_specs if routing == "topology-aware" else specs3
-            topology = fabric if routing == "topology-aware" else None
-            a = route_requests(reqs, specs, routing=routing, topology=topology)
-            b = route_requests(list(reversed(reqs)), specs, routing=routing,
-                               topology=topology)
+            a = route_requests(reqs, specs3, routing=routing)
+            b = route_requests(list(reversed(reqs)), specs3, routing=routing)
             assert (
                 [[r.name for r in bucket] for bucket in a.buckets]
                 == [[r.name for r in bucket] for bucket in b.buckets]
@@ -242,6 +231,29 @@ class TestSingleShardEquivalence:
         assert fleet.total_kg_co2 == single.total_kg_co2
         assert fleet.makespan_s == single.makespan_s
 
+    def test_report_is_the_service_report(self, small_testbed):
+        """A one-shard fleet's report is a ``ServiceReport`` whose dict
+        equals the plain service's on every key they share."""
+        reqs = [
+            make_request(name=f"j{i}", tenant=f"t{i % 2}", submit=5.0 * i,
+                         deadline=5.0 * i + DAY / 4)
+            for i in range(5)
+        ]
+        plan_cache_clear()
+        single = ServiceSimulator(
+            small_testbed, policy=RunNow(), tariff=flat_tariff(period_s=DAY),
+            max_concurrent_jobs=2, fast=True,
+        ).run(reqs)
+        plan_cache_clear()
+        fleet = small_fleet(small_testbed, shards=1).run(reqs)
+        assert isinstance(fleet, ServiceReport)
+        plain, merged = single.to_dict(), fleet.to_dict()
+        shared = set(plain) & set(merged)
+        assert {"testbed", "jobs", "total_kwh", "p95_slowdown",
+                "p95_turnaround_s", "per_tenant"} <= shared
+        assert {key: merged[key] for key in shared} \
+            == {key: plain[key] for key in shared}
+
 
 class TestFleetMerge:
     """Merged accounting across >= 3 shards with disjoint tenants."""
@@ -262,15 +274,21 @@ class TestFleetMerge:
 
     def test_totals_are_shard_sums(self, report):
         fleet, _ = report
-        assert fleet.jobs_total == 9
+        assert len(fleet.jobs) == 9
+        jobs = [j for s in fleet.shards for j in s.report.jobs]
+        assert fleet.total_bytes == sum(j.total_bytes for j in jobs)
         assert fleet.total_bytes == sum(
             s.report.total_bytes for s in fleet.shards
         )
-        assert fleet.total_energy_j == sum(
-            s.report.total_energy_j for s in fleet.shards
+        # totals sum per job over every shard; the shard subtotals
+        # group the same terms differently, so they agree at round-off
+        assert fleet.total_energy_j == sum(j.energy_j for j in jobs)
+        assert fleet.total_energy_j == pytest.approx(
+            sum(s.report.total_energy_j for s in fleet.shards), rel=1e-12
         )
-        assert fleet.total_cost_usd == sum(
-            s.report.total_cost_usd for s in fleet.shards
+        assert fleet.total_cost_usd == sum(j.cost_usd for j in jobs)
+        assert fleet.total_cost_usd == pytest.approx(
+            sum(s.report.total_cost_usd for s in fleet.shards), rel=1e-12
         )
         assert fleet.makespan_s == max(
             s.report.makespan_s for s in fleet.shards
@@ -294,7 +312,7 @@ class TestFleetMerge:
         fleet, tenants = report
         d = fleet.to_dict()
         json.dumps(d)  # JSON-safe throughout
-        assert d["jobs"] == fleet.jobs_total == 9
+        assert d["jobs"] == len(fleet.jobs) == 9
         assert d["shards"] == 3
         assert d["total_kwh"] == pytest.approx(fleet.total_energy_j / 3.6e6)
         assert [row["shard"] for row in d["per_shard"]] == ["s0", "s1", "s2"]
@@ -302,7 +320,7 @@ class TestFleetMerge:
         text = fleet.render()
         for name in ("s0", "s1", "s2", *tenants):
             assert name in text
-        assert f"{fleet.jobs_total} jobs" in text
+        assert f"{len(fleet.jobs)} jobs" in text
 
     def test_shared_tenant_waits_reaverage(self, small_testbed):
         """The same tenant split across shards re-averages queue wait

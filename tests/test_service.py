@@ -541,39 +541,66 @@ class TestServiceSimulator:
 
 
 class TestFleetTariffSchedule:
-    def test_flat_model_unchanged(self):
-        from repro.fleet import TariffModel
+    def test_flat_model_unchanged(self, small_testbed, small_dataset):
+        """On a flat trace the clock does not matter: anchored and
+        unanchored classes bill the same dollars per kWh."""
+        from repro.fleet import FleetModel, JobClass
 
-        tariff = TariffModel(dollars_per_kwh=0.10, kg_co2_per_kwh=0.5)
-        assert tariff.dollars(JOULES_PER_KWH) == pytest.approx(0.10)
-        assert tariff.kg_co2(JOULES_PER_KWH) == pytest.approx(0.5)
-        assert tariff.price_at(12 * 3600.0) == 0.10
+        tariff = flat_tariff(0.10, 0.5)
 
-    def test_from_trace_prices_by_time(self):
-        from repro.fleet import TariffModel
+        def bill(hour):
+            return FleetModel(
+                small_testbed,
+                [JobClass("job", lambda: small_dataset, 2.0, start_hour=hour)],
+                tariff=tariff,
+                max_channels=2,
+            ).report("mine")
 
-        model = TariffModel.from_trace(peak_offpeak_tariff())
-        assert model.dollars_per_kwh == pytest.approx(
-            peak_offpeak_tariff().mean_price
+        anchored, unanchored = bill(13.0), bill(None)
+        for report in (anchored, unanchored):
+            assert report.annual_cost_dollars == pytest.approx(
+                report.annual_energy_kwh * 0.10
+            )
+            assert report.annual_kg_co2 == pytest.approx(
+                report.annual_energy_kwh * 0.5
+            )
+
+    def test_from_trace_prices_by_time(self, small_testbed, small_dataset):
+        """Unanchored classes bill at the trace's time mean; anchored
+        ones at the plateaus their run spans."""
+        from repro.fleet import FleetModel, JobClass
+
+        trace = peak_offpeak_tariff()
+
+        def bill(hour):
+            return FleetModel(
+                small_testbed,
+                [JobClass("job", lambda: small_dataset, 2.0, start_hour=hour)],
+                tariff=trace,
+                max_channels=2,
+            ).report("mine")
+
+        mean, night = bill(None), bill(2.0)
+        assert mean.annual_cost_dollars == pytest.approx(
+            mean.annual_energy_kwh * trace.mean_price
         )
-        night, peak = 2 * 3600.0, 13 * 3600.0
-        assert model.price_at(night) == 0.05
-        assert model.price_at(peak) == 0.16
-        assert model.dollars(JOULES_PER_KWH, start=night) == pytest.approx(0.05)
-        assert model.dollars(JOULES_PER_KWH, start=peak) == pytest.approx(0.16)
-        # no start -> flat mean pricing (backwards-compatible call)
-        assert model.dollars(JOULES_PER_KWH) == pytest.approx(
-            model.dollars_per_kwh
+        assert mean.annual_kg_co2 == pytest.approx(
+            mean.annual_energy_kwh * trace.mean_carbon
         )
-        assert model.kg_co2(JOULES_PER_KWH, start=night) == pytest.approx(0.32)
+        assert night.annual_cost_dollars == pytest.approx(
+            night.annual_energy_kwh * 0.05
+        )
+        assert night.annual_kg_co2 == pytest.approx(
+            night.annual_energy_kwh * 0.32
+        )
 
     def test_job_class_start_hour(self, small_testbed, small_dataset):
-        from repro.fleet import FleetModel, JobClass, TariffModel
+        from repro.fleet import FleetModel, JobClass
 
         with pytest.raises(ValueError):
             JobClass("bad", lambda: small_dataset, 1.0, start_hour=24.0)
 
-        tariff = TariffModel.from_trace(peak_offpeak_tariff())
+        tariff = peak_offpeak_tariff()
 
         def fleet_at(hour):
             return FleetModel(

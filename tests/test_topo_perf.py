@@ -4,11 +4,10 @@ The allocation LRU and incremental re-fill must both be
 *bit-identical* to the from-scratch solve; the netsim round-reuse
 (signature skip + ``refill``) must leave every binding decision — and
 therefore every timestamp of a service day — exactly as a
-from-scratch ``allocate`` per round would; the fleet's
-``topology-aware`` router must carve the fabric conservatively, route
-deterministically and survive the process pool; and the cache
-telemetry must flow through counters, the ``allocation_cached`` event
-and the renderers.
+from-scratch ``allocate`` per round would; a fleet whose shards each
+run the fabric must be deterministic and survive the process pool;
+and the cache telemetry must flow through counters, the
+``allocation_cached`` event and the renderers.
 """
 
 import json
@@ -18,12 +17,7 @@ import pytest
 from repro.obs.observer import Observer, render_events, render_metrics
 from repro.service import RunNow, ServiceSimulator, bursty_workload, \
     peak_offpeak_tariff, poisson_workload
-from repro.service.fleet import (
-    FleetSimulator,
-    ShardSpec,
-    route_requests,
-    topology_pair_shards,
-)
+from repro.service.fleet import FleetSimulator
 from repro import units
 from repro.datasets.files import Dataset
 from repro.service.policies import plan_cache_clear
@@ -276,87 +270,12 @@ class TestCacheTelemetry:
 
 
 # ----------------------------------------------------------------------
-# fleet: topology-aware sharding
+# fleet: every shard runs its own fabric
 # ----------------------------------------------------------------------
 
 
-class TestTopologyPairShards:
-    def test_leaf_spine_carve_is_conservative(self):
-        """Each trunk's carved capacity, summed over every shard that
-        uses it, equals the fabric's capacity — the carve never
-        oversubscribes the real fabric."""
-        bandwidth = XSEDE.path.bandwidth
-        shards = topology_pair_shards(XSEDE, "leaf-spine:s=2,l=4,spine=0.4")
-        assert [s.name for s in shards] == [
-            "p0-1", "p0-2", "p0-3", "p1-2", "p1-3", "p2-3"
-        ]
-        fabric = build_topology("leaf-spine:s=2,l=4,spine=0.4",
-                                bandwidth=bandwidth)
-        total = {hop: 0.0 for hop in fabric.bottlenecks}
-        for spec in shards:
-            carved = build_topology(spec.topology, bandwidth=bandwidth)
-            assert set(spec.bottlenecks) <= set(fabric.bottlenecks)
-            # a pair carve keeps every bottleneck; only the hops its
-            # paths cross carry that shard's traffic
-            used = {
-                hop for path in carved.paths.values()
-                for hop in path.bottlenecks
-            }
-            for hop in used:
-                total[hop] += carved.capacity(hop)
-        for hop in fabric.bottlenecks:
-            assert total[hop] == pytest.approx(fabric.capacity(hop))
-
-    def test_fat_tree_carve(self):
-        shards = topology_pair_shards(XSEDE, "fat-tree:k=4,core=0.3")
-        assert len(shards) == 6  # 4 pods -> C(4,2) pairs
-        assert shards[0].bottlenecks == ("pod0", "pod1")
-        carved = build_topology(shards[0].topology,
-                                bandwidth=XSEDE.path.bandwidth)
-        # pair= keeps all bottlenecks but only the pair's paths
-        assert set(carved.bottlenecks) == {
-            "pod0", "pod1", "pod2", "pod3", "core0", "core1", "core2",
-            "core3",
-        }
-        assert all(
-            path.src == "pod0" and path.dst == "pod1"
-            for path in carved.paths.values()
-        )
-
-    def test_single_link_rejected(self):
-        with pytest.raises(ValueError):
-            topology_pair_shards(XSEDE, "single-link")
-
-
 class TestTopologyAwareRouting:
-    def fabric_and_specs(self):
-        fabric = build_topology("leaf-spine:s=2,l=3",
-                                bandwidth=XSEDE.path.bandwidth)
-        specs = [
-            ShardSpec("p0-1", XSEDE, bottlenecks=("leaf0", "leaf1")),
-            ShardSpec("p0-2", XSEDE, bottlenecks=("leaf0", "leaf2")),
-            ShardSpec("p1-2", XSEDE, bottlenecks=("leaf1", "leaf2")),
-        ]
-        return fabric, specs
-
-    def test_requires_fabric_and_bottlenecks(self):
-        fabric, specs = self.fabric_and_specs()
-        reqs = [make_request(name="j0")]
-        with pytest.raises(ValueError, match="fleet fabric"):
-            route_requests(reqs, specs, routing="topology-aware")
-        bare = [ShardSpec("a", XSEDE), ShardSpec("b", XSEDE)]
-        with pytest.raises(ValueError, match="bottleneck"):
-            route_requests(reqs, bare, routing="topology-aware",
-                           topology=fabric)
-
-    def test_spreads_over_disjoint_trunks(self):
-        fabric, specs = self.fabric_and_specs()
-        reqs = [make_request(name=f"j{i}", tenant="solo") for i in range(9)]
-        routed = route_requests(reqs, specs, routing="topology-aware",
-                                topology=fabric, steal_threshold=None)
-        # every shard sees work: trunk pressure steers away from loaded
-        # leaves, and the backlog tie-breaker spreads the saturated tail
-        assert all(len(bucket) > 0 for bucket in routed.buckets)
+    """Plain routing in front of topology-backed shards."""
 
     def test_fleet_day_deterministic_and_pool_identical(self):
         requests = poisson_workload(12, seed=7)
@@ -365,26 +284,23 @@ class TestTopologyAwareRouting:
             tariff=peak_offpeak_tariff(period_s=DAY),
             fast=True,
             topology="leaf-spine:s=2,l=3",
-            routing="topology-aware",
+            shards=3,
+            routing="least-loaded",
         )
         reports = []
-        for workers in (None, 2):
+        for workers in (1, 2):  # inline, then a process pool
             alloc_cache_clear()
             plan_cache_clear()
-            extra = {} if workers is None else {"workers": workers}
-            fleet = FleetSimulator(XSEDE, **kwargs, **extra)
-            assert [s.name for s in fleet.shards] == ["p0-1", "p0-2", "p1-2"]
+            fleet = FleetSimulator(XSEDE, **kwargs, workers=workers)
             reports.append(fleet.run(requests))
         inline, pooled = reports
+        assert inline.topology == "leaf-spine:s=2,l=3"
+        assert all(s.report.topology == inline.topology
+                   for s in inline.shards)
         assert [s.routed_jobs for s in inline.shards] \
             == [s.routed_jobs for s in pooled.shards]
+        assert [(j.name, j.admitted_at, j.completed_at, j.energy_j)
+                for j in inline.jobs] \
+            == [(j.name, j.admitted_at, j.completed_at, j.energy_j)
+                for j in pooled.jobs]
         assert inline.total_energy_j == pooled.total_energy_j
-
-    def test_topology_aware_requires_topology_spec(self):
-        with pytest.raises(ValueError, match="topology"):
-            FleetSimulator(
-                XSEDE,
-                policy=RunNow(),
-                tariff=peak_offpeak_tariff(period_s=DAY),
-                routing="topology-aware",
-            )
