@@ -2,7 +2,7 @@
 
 Runs a production-scale day of chunky-dataset tenant traffic through
 the sharded fleet dispatcher (``repro.service.fleet``) and writes
-``BENCH_fleet.json``. Three measurements:
+``BENCH_fleet.json``. Two measurements:
 
 * **fleet cells** — jobs/sec and jobs/day throughput plus p95
   end-to-end (submit → complete) latency at growing scale; the
@@ -11,13 +11,9 @@ the sharded fleet dispatcher (``repro.service.fleet``) and writes
 * **consistency** — a single-shard fleet vs a plain
   ``ServiceSimulator(fast=True)`` on the identical workload: admission
   decisions must be identical and energy/cost/carbon must agree to
-  rel-err < 1e-9 (they are in fact bit-equal);
-* **warm start** — the same fleet day run cold, then re-run seeded
-  with the first run's exported :class:`FleetContext`: the warm run
-  must plan every repeated dataset shape from the context (zero plan-
-  cache misses), the psim-``GContext`` idiom.
+  rel-err < 1e-9 (they are in fact bit-equal).
 
-``--check`` turns all three into a CI gate.
+``--check`` turns both into a CI gate.
 
 Usage::
 
@@ -50,9 +46,7 @@ from bench_service import (  # noqa: E402 — sibling bench module
     _rel_err,
 )
 
-from repro.obs.observer import Observer
 from repro.service import (
-    FleetContext,
     FleetSimulator,
     ServiceSimulator,
     policy_by_name,
@@ -73,9 +67,6 @@ SMOKE_FLEET_CELLS: tuple[tuple[int, int], ...] = ((2_000, 4),)
 
 CONSISTENCY_JOBS = 1_000
 SMOKE_CONSISTENCY_JOBS = 240
-
-WARM_JOBS, WARM_SHARDS = (2_000, 4)
-SMOKE_WARM_JOBS, SMOKE_WARM_SHARDS = (500, 2)
 
 #: The acceptance floor: one million jobs per simulated-at-real-time day.
 JOBS_PER_DAY_FLOOR = 1_000_000.0
@@ -100,8 +91,6 @@ def _fleet(
     day_s: float,
     *,
     workers: Optional[int],
-    observer: Optional[Observer] = None,
-    warm_context: Optional[FleetContext] = None,
 ) -> FleetSimulator:
     return FleetSimulator(
         testbed_by_name("xsede"),
@@ -110,9 +99,7 @@ def _fleet(
         shards=shards,
         routing=ROUTING,
         max_concurrent_jobs=4,
-        observer=observer,
         workers=workers,
-        warm_context=warm_context,
     )
 
 
@@ -152,9 +139,6 @@ def run_fleet_cell(jobs: int, shards: int, *, seed: int, workers: Optional[int])
         "total_kg_co2": report.total_kg_co2,
         "work_steals": report.work_steals,
         "shard_walls_s": [s.wall_s for s in report.shards],
-        "context_entries": (
-            len(fleet.last_context) if fleet.last_context is not None else 0
-        ),
     }
 
 
@@ -201,52 +185,6 @@ def run_consistency_cell(jobs: int, *, seed: int) -> dict:
     }
 
 
-def run_warm_start_cell(
-    jobs: int, shards: int, *, seed: int, workers: Optional[int]
-) -> dict:
-    """Cold fleet day, then the same day seeded with the cold run's
-    exported context: the warm run must never miss the plan cache."""
-    day_s = SCALE_DAY_PER_JOB_S * jobs / shards
-
-    def observed_run(warm: Optional[FleetContext]) -> tuple[dict, FleetContext]:
-        requests = _workload(jobs, day_s, seed)
-        plan_cache_clear()
-        observer = Observer()
-        fleet = _fleet(
-            jobs, shards, day_s,
-            workers=workers, observer=observer, warm_context=warm,
-        )
-        start = time.perf_counter()
-        report = fleet.run(requests, max_time=20.0 * day_s)
-        wall = time.perf_counter() - start
-        counters = (report.metrics or {}).get("metrics", {}).get("counters", {})
-        assert fleet.last_context is not None
-        return (
-            {
-                "wall_s": wall,
-                "plan_cache_hits": int(counters.get("service.plan_cache_hits", 0)),
-                "plan_cache_misses": int(
-                    counters.get("service.plan_cache_misses", 0)
-                ),
-            },
-            fleet.last_context,
-        )
-
-    cold, context = observed_run(None)
-    warm, _ = observed_run(context)
-    return {
-        "jobs": jobs,
-        "shards": shards,
-        "context_entries": len(context),
-        "cold": cold,
-        "warm": warm,
-        "warm_hit_frac": (
-            warm["plan_cache_hits"]
-            / max(1, warm["plan_cache_hits"] + warm["plan_cache_misses"])
-        ),
-    }
-
-
 def run_benchmark(
     *, smoke: bool = False, seed: int = 7, workers: Optional[int] = None
 ) -> dict:
@@ -256,12 +194,6 @@ def run_benchmark(
     ]
     consistency = run_consistency_cell(
         SMOKE_CONSISTENCY_JOBS if smoke else CONSISTENCY_JOBS, seed=seed
-    )
-    warm_jobs, warm_shards = (
-        (SMOKE_WARM_JOBS, SMOKE_WARM_SHARDS) if smoke else (WARM_JOBS, WARM_SHARDS)
-    )
-    warm_start = run_warm_start_cell(
-        warm_jobs, warm_shards, seed=seed, workers=workers
     )
     headline = fleet_cells[-1]
     return {
@@ -277,7 +209,6 @@ def run_benchmark(
         "tariff": "peak-offpeak",
         "fleet_cells": fleet_cells,
         "consistency": consistency,
-        "warm_start": warm_start,
         "headline": {
             "jobs": headline["jobs"],
             "shards": headline["shards"],
@@ -287,7 +218,6 @@ def run_benchmark(
             "deadline_miss_rate": headline["deadline_miss_rate"],
             "single_shard_rel_err_cost": consistency["rel_err_cost"],
             "admissions_identical": consistency["admissions_identical"],
-            "warm_start_misses": warm_start["warm"]["plan_cache_misses"],
         },
     }
 
@@ -296,9 +226,9 @@ def check_benchmark(report: dict) -> list[str]:
     """CI gate: return a list of failure strings (empty = pass).
 
     Gates (1) aggregate throughput at or above 1M jobs/day on every
-    fleet cell, (2) single-shard fleet consistency with the plain
+    fleet cell and (2) single-shard fleet consistency with the plain
     service — identical admissions, rel-err < 1e-9 on energy, cost and
-    carbon — and (3) a miss-free warm-start run.
+    carbon.
     """
     failures: list[str] = []
     for row in report["fleet_cells"]:
@@ -325,12 +255,6 @@ def check_benchmark(report: dict) -> list[str]:
                 f"single-shard consistency: {key} {consistency[key]:.3e} "
                 "above the 1e-9 floor"
             )
-    warm = report["warm_start"]
-    if warm["warm"]["plan_cache_misses"] != 0:
-        failures.append(
-            f"warm-start run missed the plan cache "
-            f"{warm['warm']['plan_cache_misses']} times (expected 0)"
-        )
     return failures
 
 
@@ -347,9 +271,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="CI gate: exit non-zero unless every fleet cell clears "
-             "1M jobs/day, the single-shard fleet matches the plain "
-             "service to rel-err < 1e-9 with identical admissions, and "
-             "the warm-start run is miss-free",
+             "1M jobs/day and the single-shard fleet matches the plain "
+             "service to rel-err < 1e-9 with identical admissions",
     )
     parser.add_argument(
         "-o", "--output", type=Path,
@@ -381,14 +304,6 @@ def main(argv=None) -> int:
         f"cost {consistency['rel_err_cost']:.1e} / "
         f"co2 {consistency['rel_err_co2']:.1e}"
     )
-    warm = report["warm_start"]
-    print(
-        f"  warm start at {warm['jobs']} jobs / {warm['shards']} shards: "
-        f"cold {warm['cold']['plan_cache_misses']} misses -> warm "
-        f"{warm['warm']['plan_cache_misses']} misses "
-        f"({100 * warm['warm_hit_frac']:.1f}% hit rate, "
-        f"{warm['context_entries']} context entries)"
-    )
     head = report["headline"]
     print(
         f"  headline: {head['jobs']:,} jobs across {head['shards']} shards "
@@ -403,7 +318,7 @@ def main(argv=None) -> int:
                 print(f"  CHECK FAILED: {failure}", file=sys.stderr)
             return 1
         print("  checks passed: throughput floor, single-shard "
-              "consistency, warm start")
+              "consistency")
     return 0
 
 

@@ -14,7 +14,7 @@ Run:  python examples/provider_fleet.py
 
 from repro import units
 from repro.datasets.generators import log_uniform_dataset
-from repro.fleet import FleetModel, JobClass, global_projection_twh
+from repro.projection import FleetModel, JobClass, global_projection_twh
 from repro.service import flat_tariff
 from repro.testbeds import XSEDE
 

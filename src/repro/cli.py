@@ -191,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pre-draw N datasets per tenant and reuse them "
                         "across arrivals (exercises plan memoization; "
                         "default: fresh draw per job)")
-    p.add_argument("--context", type=Path, default=None, metavar="PATH",
-                   help="warm-start plan context file: loaded before the "
-                        "run if it exists, updated after (GContext-style)")
     _add_topology(p)
     p.add_argument("--events", action="store_true",
                    help="also print the fleet dispatch event stream")
@@ -532,7 +529,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetModel, JobClass
+    from repro.projection import FleetModel, JobClass
     from repro.service.tariff import TARIFF_PRESETS, tariff_by_name
 
     testbed = _resolve_testbed(args.testbed)
@@ -631,7 +628,6 @@ def _cmd_fleet_service(args: argparse.Namespace) -> int:
 
     from repro.obs.observer import Observer, render_events
     from repro.service import (
-        FleetContext,
         FleetSimulator,
         POLICY_PRESETS,
         ROUTING_POLICIES,
@@ -660,11 +656,6 @@ def _cmd_fleet_service(args: argparse.Namespace) -> int:
         size_scale=args.day / 86400.0, dataset_pool=args.dataset_pool,
     )
     tariff = tariff_by_name(args.tariff, period_s=args.day)
-    warm = None
-    if args.context is not None and args.context.exists():
-        warm = FleetContext.load(args.context)
-        print(f"warm-start context loaded: {len(warm)} plan entries "
-              f"({warm.source or 'unlabelled'})")
     observer = Observer()
     fleet = FleetSimulator(
         testbed,
@@ -679,17 +670,12 @@ def _cmd_fleet_service(args: argparse.Namespace) -> int:
         observer=observer,
         fast=not args.grid,
         workers=args.workers,
-        warm_context=warm,
         topology=args.topology,
         placement=args.placement,
         placement_seed=args.placement_seed,
     )
     report = fleet.run(requests)
     print(report.render())
-    if args.context is not None and fleet.last_context is not None:
-        fleet.last_context.save(args.context)
-        print(f"warm-start context saved to {args.context} "
-              f"({len(fleet.last_context)} plan entries)")
     if args.events:
         print()
         print(render_events(observer.events))

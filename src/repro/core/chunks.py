@@ -12,7 +12,6 @@ chunk is "too small to be treated separately" (``mergeChunks``).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from repro.datasets.files import Dataset, FileInfo
@@ -157,11 +156,3 @@ def merge_chunks(
             changed = True
             break
     return survivors
-
-
-def ceil_div_positive(numerator: float, denominator: float) -> int:
-    """``ceil(numerator / denominator)`` floored at 1 — the paper's
-    parameter formulas never go below one."""
-    if denominator <= 0:
-        return 1
-    return max(1, math.ceil(numerator / denominator))

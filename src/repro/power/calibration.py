@@ -148,8 +148,3 @@ def mean_absolute_percentage_error(
     if not errors:
         raise ValueError("no usable samples")
     return 100.0 * float(np.mean(errors))
-
-
-# Make the default sweep reproducible regardless of numpy version quirks.
-def _selftest() -> None:  # pragma: no cover - import-time sanity
-    assert cpu_coefficient(1) > 0

@@ -24,7 +24,6 @@ benchmarked by ``benchmarks/bench_service.py`` /
 """
 
 from repro.service.fleet import (
-    FleetContext,
     FleetReport,
     FleetSimulator,
     ROUTING_POLICIES,
@@ -35,11 +34,9 @@ from repro.service.fleet import (
 )
 from repro.service.policies import (
     JobPlan,
-    export_plan_cache,
     plan_cache_clear,
     plan_cache_info,
     plan_for,
-    seed_plan_cache,
 )
 from repro.service.requests import (
     BALANCED,
@@ -87,7 +84,6 @@ __all__ = [
     "green_midday_tariff", "TARIFF_PRESETS", "tariff_by_name",
     # planning
     "JobPlan", "plan_for", "plan_cache_info", "plan_cache_clear",
-    "export_plan_cache", "seed_plan_cache",
     # scheduling
     "SchedulingDecision", "DeferralPolicy", "RunNow", "DeadlineEDF",
     "PriceThreshold", "CarbonAware", "POLICY_PRESETS", "policy_by_name",
@@ -95,6 +91,6 @@ __all__ = [
     # simulation
     "JobResult", "ServiceReport", "ServiceSimulator",
     # fleet
-    "FleetContext", "FleetReport", "FleetSimulator", "ROUTING_POLICIES",
+    "FleetReport", "FleetSimulator", "ROUTING_POLICIES",
     "RoutingResult", "ShardResult", "ShardSpec", "route_requests",
 ]

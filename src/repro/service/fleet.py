@@ -28,13 +28,6 @@ mean (its admission queue has saturated relative to its fair share),
 the job is re-routed to the least-loaded shard at dispatch time —
 deterministic, and visible as ``work_stolen`` events.
 
-Warm starts follow psim's ``GContext`` idiom: a run exports every
-shard's memoized planning entries (chunk plans plus their
-``predict_plan_performance`` duration/energy estimates) as a picklable
-:class:`FleetContext`; seeding the next run with it pre-populates each
-shard's plan LRU so repeated dataset shapes never pay the
-MinE/HTEE/SLAEE math again, across runs and across processes.
-
 Determinism contract: same requests, seed, shard count, routing and
 policy knobs → the same routing decisions and bit-identical simulated
 quantities in the :class:`FleetReport` (timestamps, admission
@@ -42,25 +35,18 @@ decisions, energy/cost/carbon). Wall-clock fields (``wall_s``,
 ``jobs_per_sec``) measure the real machine and are excluded from the
 contract. A single-shard fleet reproduces ``ServiceSimulator``
 (``fast=True``) exactly.
-
-(The sibling :mod:`repro.fleet` is the paper's *annualized projection*
-model — same word, different axis: it extrapolates one link's day to a
-year; this module actually simulates the fleet's day.)
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-import pickle
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from functools import cached_property
-from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 import numpy as np
 
@@ -68,11 +54,6 @@ from repro import units
 from repro.core.chunks import PartitionPolicy
 from repro.obs.metrics import merge_summaries
 from repro.obs.observer import Observer
-from repro.service.policies import (
-    PlanCacheEntry,
-    export_plan_cache,
-    seed_plan_cache,
-)
 from repro.service.requests import TransferRequest
 from repro.service.scheduler import DeferralPolicy
 from repro.service.simulate import (
@@ -88,7 +69,6 @@ from repro.units import Seconds
 
 __all__ = [
     "ROUTING_POLICIES",
-    "FleetContext",
     "FleetReport",
     "FleetSimulator",
     "RoutingResult",
@@ -224,52 +204,6 @@ def route_requests(
         stolen_in=tuple(stolen_in),
         stolen_out=tuple(stolen_out),
     )
-
-
-# ----------------------------------------------------------------------
-# warm-start context
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetContext:
-    """Portable warm-start context (psim ``GContext`` style).
-
-    Carries the fleet's memoized planning entries — chunk plans plus
-    their ``predict_plan_performance`` estimates — in a picklable,
-    identity-free form. Seeding a run with a prior similar run's
-    context pre-populates every shard's plan LRU, so repeated dataset
-    shapes skip the MinE/HTEE/SLAEE math entirely, across processes
-    and across runs (see :func:`repro.service.policies.seed_plan_cache`).
-    """
-
-    entries: tuple[PlanCacheEntry, ...] = ()
-    source: str = ""
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def save(self, path: Union[Path, str]) -> Path:
-        """Pickle the context to ``path`` (plans are plain dataclasses)."""
-        path = Path(path)
-        with path.open("wb") as handle:
-            pickle.dump(self, handle)
-        return path
-
-    @classmethod
-    def load(cls, path: Union[Path, str]) -> "FleetContext":
-        """Unpickle a context written by :meth:`save`."""
-        try:
-            with Path(path).open("rb") as handle:
-                context = pickle.load(handle)
-        except (pickle.UnpicklingError, ValueError, EOFError,
-                AttributeError, ImportError) as exc:
-            raise TypeError(
-                f"{path} does not contain a FleetContext: {exc}"
-            ) from exc
-        if not isinstance(context, cls):
-            raise TypeError(f"{path} does not contain a FleetContext")
-        return context
 
 
 # ----------------------------------------------------------------------
@@ -445,14 +379,9 @@ def _run_shard(payload: dict) -> dict:
 
     Top-level (not a closure/method) so a spawn-based
     :class:`ProcessPoolExecutor` can import it; everything it needs
-    travels in the payload dict. Seeds the worker's plan cache from the
-    warm-start entries first, and exports the (now warmer) cache back
-    so the parent can accumulate context across runs.
+    travels in the payload dict.
     """
     spec: ShardSpec = payload["spec"]
-    warm: Sequence[PlanCacheEntry] = payload["warm"]
-    if warm:
-        seed_plan_cache(spec.testbed, warm)
     observer = Observer() if payload["observe"] else None
     simulator = ServiceSimulator(
         spec.testbed,
@@ -480,7 +409,6 @@ def _run_shard(payload: dict) -> dict:
         "report": report,
         "wall_s": wall_s,
         "summary": observer.summary() if observer is not None else None,
-        "export": export_plan_cache(spec.testbed),
     }
 
 
@@ -508,10 +436,6 @@ class FleetSimulator:
     pool, no pickling); ``>1`` uses a :class:`ProcessPoolExecutor`,
     which requires picklable testbeds/policies/tariffs. Results are
     identical either way — shards are independent simulations.
-
-    After :meth:`run`, ``last_context`` holds the accumulated
-    :class:`FleetContext` (input context merged with every shard's
-    exported plan entries, newest winning) ready to seed the next run.
     """
 
     def __init__(
@@ -531,7 +455,6 @@ class FleetSimulator:
         observer: Optional[Observer] = None,
         fast: bool = True,
         workers: Optional[int] = None,
-        warm_context: Optional[FleetContext] = None,
         topology: Optional[str] = None,
         placement: str = "least-congested",
         placement_seed: int = 0,
@@ -579,9 +502,7 @@ class FleetSimulator:
         self.placement = placement
         self.placement_seed = placement_seed
         self.workers = workers
-        self.warm_context = warm_context
-        #: Set by :meth:`run`: the accumulated warm-start context.
-        self.last_context: Optional[FleetContext] = None
+
     # ------------------------------------------------------------------
 
     def _payloads(
@@ -591,9 +512,6 @@ class FleetSimulator:
         interventions: Sequence[Intervention],
         on_timeout: str,
     ) -> list[dict[str, Any]]:
-        warm: tuple[PlanCacheEntry, ...] = (
-            self.warm_context.entries if self.warm_context is not None else ()
-        )
         observe = self.observer is not None
         return [
             {
@@ -611,7 +529,6 @@ class FleetSimulator:
                 "placement_seed": self.placement_seed,
                 "max_time": max_time,
                 "observe": observe,
-                "warm": warm,
                 "interventions": tuple(interventions),
                 "on_timeout": on_timeout,
             }
@@ -688,18 +605,6 @@ class FleetSimulator:
                 if out["summary"] is not None:
                     self.observer.merge_summary(out["summary"])
         merged_metrics = merge_summaries(summaries) if summaries else None
-        warm_entries: tuple[PlanCacheEntry, ...] = (
-            self.warm_context.entries if self.warm_context is not None else ()
-        )
-        accumulated: dict[tuple, PlanCacheEntry] = {}
-        for entry in itertools.chain(
-            warm_entries, *(out["export"] for out in outs)
-        ):
-            accumulated[entry[:5]] = entry
-        self.last_context = FleetContext(
-            entries=tuple(accumulated.values()),
-            source=f"fleet:{len(self.shards)}x{len(requests)}",
-        )
         return FleetReport(
             routing=self.routing,
             policy=self.policy.name,

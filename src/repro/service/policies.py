@@ -26,17 +26,15 @@ re-send the same backup mixes), so :func:`plan_for` consults a small
 LRU keyed by ``(testbed identity, file-size signature, SLA kind/level,
 max_channels, partition policy)``. Hits return a fresh
 :class:`JobPlan` wrapping the cached chunk plans — byte-identical
-numerics, none of the planning cost. ``use_cache=False`` bypasses it;
-:func:`plan_cache_info` / :func:`plan_cache_clear` expose and reset it
-(clear after mutating a ``Testbed`` in place — identity keying cannot
-see in-place edits).
+numerics, none of the planning cost. :func:`plan_cache_info` /
+:func:`plan_cache_clear` expose and reset it (clear after mutating a
+``Testbed`` in place — identity keying cannot see in-place edits).
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,12 +52,9 @@ from repro.units import Joules, Seconds
 
 __all__ = [
     "JobPlan",
-    "PlanCacheEntry",
-    "export_plan_cache",
     "plan_for",
     "plan_cache_info",
     "plan_cache_clear",
-    "seed_plan_cache",
 ]
 
 
@@ -155,61 +150,6 @@ def plan_cache_clear() -> None:
     _PLAN_CACHE.clear()
 
 
-#: One portable (picklable, identity-free) warm-start entry: the cache
-#: key minus the testbed id — ``(file sizes, sla kind, sla level,
-#: max_channels, partition_policy)`` — plus the cached planning result
-#: ``(algorithm, plans, est_duration_s, est_energy_j)``.
-PlanCacheEntry = tuple[
-    tuple[int, ...],
-    str,
-    Optional[float],
-    int,
-    PartitionPolicy,
-    str,
-    tuple[ChunkPlan, ...],
-    Seconds,
-    Joules,
-]
-
-
-def export_plan_cache(testbed: Testbed) -> list[PlanCacheEntry]:
-    """Snapshot ``testbed``'s memoized plans as portable entries.
-
-    Entries drop the identity half of the cache key (``id(testbed)``
-    does not survive pickling), so they can cross process boundaries
-    and be re-pinned to *any* equivalent testbed object with
-    :func:`seed_plan_cache` — the psim-``GContext`` warm-start idiom.
-    Returned in LRU order (oldest first), so re-seeding preserves
-    eviction order.
-    """
-    tb_id = id(testbed)
-    return [
-        (key[1], key[2], key[3], key[4], key[5], value[0], value[1], value[2], value[3])
-        for key, value in _PLAN_CACHE._data.items()
-        if key[0] == tb_id
-    ]
-
-
-def seed_plan_cache(testbed: Testbed, entries: Iterable[PlanCacheEntry]) -> int:
-    """Warm the plan LRU for ``testbed`` from exported entries.
-
-    Seeds both the memoized chunk plans and their
-    :func:`~repro.core.advisor.predict_plan_performance` estimates, so
-    a service run starting from a prior similar run's context plans
-    repeated dataset shapes without paying the MinE/HTEE/SLAEE math
-    even once. Seeding counts as neither hit nor miss. Returns the
-    number of entries installed. The caller vouches that ``testbed``
-    is equivalent to the exporting one (same path/server/coefficient
-    numbers) — entries carry no identity to check against.
-    """
-    count = 0
-    for sizes, kind, level, max_channels, policy, algorithm, plans, duration, energy in entries:
-        key: _CacheKey = (id(testbed), tuple(sizes), kind, level, max_channels, policy)
-        _PLAN_CACHE.put(key, (algorithm, tuple(plans), duration, energy, testbed))
-        count += 1
-    return count
-
-
 def _cache_key(
     testbed: Testbed,
     request: TransferRequest,
@@ -286,7 +226,6 @@ def plan_for(
     max_channels: int = 4,
     *,
     partition_policy: PartitionPolicy = PartitionPolicy(),
-    use_cache: bool = True,
 ) -> JobPlan:
     """Map one request's SLA class to an engine-ready plan + estimates.
 
@@ -295,9 +234,9 @@ def plan_for(
     contract is relative to the path's maximum, not to the service's
     per-job default budget).
 
-    With ``use_cache=True`` (default) results are memoized on the
-    planning inputs — repeated dataset shapes (identical file-size
-    sequences) skip the MinE/HTEE/SLAEE math entirely. The returned
+    Results are memoized on the planning inputs — repeated dataset
+    shapes (identical file-size sequences) skip the MinE/HTEE/SLAEE
+    math entirely. The returned
     :class:`JobPlan` always wraps *this* request; on a hit its chunk
     plans are shared with earlier jobs of the same shape (they are
     immutable inputs: each job's engine copies them into its own
@@ -307,19 +246,17 @@ def plan_for(
     """
     if max_channels < 1:
         raise ValueError("max_channels must be >= 1")
-    key: Optional[_CacheKey] = None
-    if use_cache:
-        key = _cache_key(testbed, request, max_channels, partition_policy)
-        cached = _PLAN_CACHE.get(key)
-        if cached is not None:
-            algorithm, plans_t, duration, energy, _pin = cached
-            return JobPlan(
-                request=request,
-                algorithm=algorithm,
-                plans=plans_t,
-                est_duration_s=duration,
-                est_energy_j=energy,
-            )
+    key = _cache_key(testbed, request, max_channels, partition_policy)
+    cached = _PLAN_CACHE.get(key)
+    if cached is not None:
+        algorithm, plans_t, duration, energy, _pin = cached
+        return JobPlan(
+            request=request,
+            algorithm=algorithm,
+            plans=plans_t,
+            est_duration_s=duration,
+            est_energy_j=energy,
+        )
     kind = request.sla.kind
     plans: list[ChunkPlan]
     if kind == "energy":
@@ -335,8 +272,7 @@ def plan_for(
         plans = _sla_plans(testbed, request, partition_policy)
     duration, energy = _estimate(testbed, plans)
     plans_tuple = tuple(plans)
-    if key is not None:
-        _PLAN_CACHE.put(key, (algorithm, plans_tuple, duration, energy, testbed))
+    _PLAN_CACHE.put(key, (algorithm, plans_tuple, duration, energy, testbed))
     return JobPlan(
         request=request,
         algorithm=algorithm,

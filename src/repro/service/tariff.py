@@ -8,7 +8,7 @@ a :class:`TariffTrace` is a periodic, piecewise-constant schedule of
 electricity price ($/kWh) and grid carbon intensity (kgCO2/kWh),
 shared by the service layer (per-step cost accounting, deferral
 policies hunting cheap/green windows) and by
-:class:`repro.fleet.FleetModel` (fleet-scale projections).
+:class:`repro.projection.FleetModel` (fleet-scale projections).
 
 Everything is deterministic and analytic: segment boundaries are
 exposed through :meth:`TariffTrace.next_change` so both the service

@@ -24,7 +24,6 @@ from repro.topo.alloc import (
     allocate,
     refill,
     set_alloc_cache,
-    water_fill,
 )
 from repro.topo.core import (
     Bottleneck,
@@ -57,5 +56,4 @@ __all__ = [
     "refill",
     "set_alloc_cache",
     "single_link",
-    "water_fill",
 ]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from repro.units import BytesPerSecond
 
@@ -53,7 +53,6 @@ __all__ = [
     "FlowDemand",
     "AllocationResult",
     "AllocCacheInfo",
-    "water_fill",
     "allocate",
     "refill",
     "alloc_cache_info",
@@ -214,43 +213,6 @@ def _validate_unique(flows: Sequence[FlowDemand]) -> None:
         if flow.flow in seen:
             raise ValueError(f"duplicate flow id {flow.flow!r}")
         seen.add(flow.flow)
-
-
-def water_fill(
-    capacity: BytesPerSecond,
-    demands: Mapping[str, BytesPerSecond],
-    weights: Optional[Mapping[str, float]] = None,
-) -> dict[str, BytesPerSecond]:
-    """Weighted max-min division of one capacity (bytes/s) among
-    demands (bytes/s).
-
-    Progressive filling: flows whose demand is below their weighted
-    fair share are frozen at their demand, their unused share is
-    returned to the pool, and the remaining flows split it by weight —
-    repeated (via one pass in ascending ``demand/weight`` order) until
-    every flow is frozen at either its demand or its final share.
-    """
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
-    if not demands:
-        return {}
-    if weights is None:
-        weights = {flow: 1.0 for flow in demands}
-    order = sorted(
-        demands, key=lambda flow: (demands[flow] / weights[flow], flow)
-    )
-    remaining = float(capacity)
-    remaining_weight = sum(weights[flow] for flow in order)
-    shares: dict[str, float] = {}
-    for flow in order:
-        fair = remaining * weights[flow] / remaining_weight
-        give = demands[flow] if demands[flow] < fair else fair
-        shares[flow] = give
-        remaining -= give
-        remaining_weight -= weights[flow]
-        if remaining < 0.0:
-            remaining = 0.0
-    return {flow: shares[flow] for flow in sorted(shares)}
 
 
 def _solve(

@@ -17,11 +17,11 @@ PACKAGES = [
     "repro.analysis",
     "repro.core",
     "repro.datasets",
-    "repro.fleet",
     "repro.harness",
     "repro.netenergy",
     "repro.netsim",
     "repro.power",
+    "repro.projection",
     "repro.testbeds",
 ]
 

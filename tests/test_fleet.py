@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fleet import (
+from repro.projection import (
     WORLD_TRANSFER_TWH_PER_YEAR,
     FleetModel,
     JobClass,

@@ -1,9 +1,8 @@
 """The fleet layer: deterministic routing heuristics, work stealing,
-merged shard accounting, warm-start contexts, and the single-shard
-equivalence contract with the plain service simulator."""
+merged shard accounting, and the single-shard equivalence contract
+with the plain service simulator."""
 
 import json
-import pickle
 import zlib
 
 import pytest
@@ -17,7 +16,6 @@ from repro.obs.observer import Observer, render_events
 from repro.service import (
     BALANCED,
     ENERGY,
-    FleetContext,
     FleetSimulator,
     RunNow,
     ServiceReport,
@@ -456,59 +454,6 @@ class TestFleetObservability:
 
 
 # ----------------------------------------------------------------------
-# warm-start context
-# ----------------------------------------------------------------------
-
-
-class TestWarmStart:
-    def test_context_roundtrip(self, tmp_path, small_testbed):
-        plan_cache_clear()
-        fleet = small_fleet(small_testbed)
-        fleet.run([make_request(name=f"j{i}") for i in range(4)])
-        context = fleet.last_context
-        assert context is not None and len(context) > 0
-        assert context.source.startswith("fleet:2x")
-        path = context.save(tmp_path / "ctx.pkl")
-        loaded = FleetContext.load(path)
-        assert loaded.entries == context.entries
-        assert loaded.source == context.source
-
-    def test_load_rejects_foreign_pickle(self, tmp_path):
-        path = tmp_path / "junk.pkl"
-        with path.open("wb") as handle:
-            pickle.dump([1, 2, 3], handle)
-        with pytest.raises(TypeError, match="FleetContext"):
-            FleetContext.load(path)
-
-    def test_warm_run_never_misses_and_matches_cold(self, small_testbed):
-        reqs = [
-            make_request(name=f"j{i}", tenant=f"t{i % 2}", submit=3.0 * i,
-                         n_files=4 + (i % 2), file_mb=2)
-            for i in range(6)
-        ]
-
-        def run(warm):
-            plan_cache_clear()
-            observer = Observer()
-            fleet = small_fleet(
-                small_testbed, observer=observer, warm_context=warm,
-            )
-            report = fleet.run(reqs)
-            counters = report.metrics["metrics"]["counters"]
-            return report, fleet.last_context, counters
-
-        cold_report, context, cold_counters = run(None)
-        assert cold_counters["service.plan_cache_misses"] > 0
-        warm_report, _, warm_counters = run(context)
-        assert warm_counters.get("service.plan_cache_misses", 0) == 0
-        assert warm_counters["service.plan_cache_hits"] \
-            >= cold_counters["service.plan_cache_misses"]
-        # the cache is an accelerator, never an answer-changer
-        assert strip_wall(warm_report.to_dict()) \
-            == strip_wall(cold_report.to_dict())
-
-
-# ----------------------------------------------------------------------
 # process-pool execution and the CLI
 # ----------------------------------------------------------------------
 
@@ -549,19 +494,6 @@ class TestFleetServiceCLI:
         assert data["jobs"] == 8
         assert data["routing"] == "tenant-hash"
         assert len(data["per_shard"]) == 2
-
-    def test_context_roundtrip(self, tmp_path, capsys):
-        ctx = tmp_path / "ctx.pkl"
-        argv = [
-            "fleet-service", "-t", "xsede", "--jobs", "6", "--shards", "2",
-            "--day", "300", "--workers", "1", "--context", str(ctx),
-        ]
-        assert cli_main(argv) == 0
-        first = capsys.readouterr().out
-        assert "context saved" in first and ctx.exists()
-        assert cli_main(argv) == 0
-        second = capsys.readouterr().out
-        assert "warm-start context loaded" in second
 
     def test_rejects_unknown_routing(self, capsys):
         code = cli_main(["fleet-service", "--routing", "bogus"])

@@ -544,7 +544,7 @@ class TestFleetTariffSchedule:
     def test_flat_model_unchanged(self, small_testbed, small_dataset):
         """On a flat trace the clock does not matter: anchored and
         unanchored classes bill the same dollars per kWh."""
-        from repro.fleet import FleetModel, JobClass
+        from repro.projection import FleetModel, JobClass
 
         tariff = flat_tariff(0.10, 0.5)
 
@@ -568,7 +568,7 @@ class TestFleetTariffSchedule:
     def test_from_trace_prices_by_time(self, small_testbed, small_dataset):
         """Unanchored classes bill at the trace's time mean; anchored
         ones at the plateaus their run spans."""
-        from repro.fleet import FleetModel, JobClass
+        from repro.projection import FleetModel, JobClass
 
         trace = peak_offpeak_tariff()
 
@@ -595,7 +595,7 @@ class TestFleetTariffSchedule:
         )
 
     def test_job_class_start_hour(self, small_testbed, small_dataset):
-        from repro.fleet import FleetModel, JobClass
+        from repro.projection import FleetModel, JobClass
 
         with pytest.raises(ValueError):
             JobClass("bad", lambda: small_dataset, 1.0, start_hour=24.0)

@@ -237,11 +237,8 @@ class TestPlanCache:
         info = plan_cache_info()
         assert info["misses"] == 3 and info["hits"] == 0
 
-    def test_bypass_and_invalidation(self, small_testbed):
+    def test_clear_invalidates(self, small_testbed):
         plan_for(small_testbed, _request("a"))
-        plan_for(small_testbed, _request("a"), use_cache=False)
-        info = plan_cache_info()
-        assert (info["hits"], info["misses"]) == (0, 1)  # bypass untracked
         plan_cache_clear()
         info = plan_cache_info()
         assert info == {"hits": 0, "misses": 0, "size": 0,
@@ -269,6 +266,29 @@ class TestPlanCache:
         snap = observer.metrics.snapshot()
         assert snap["counters"]["service.plan_cache_misses"] == 1
         assert snap["counters"]["service.plan_cache_hits"] == 3
+
+    def test_warm_cache_never_changes_the_answer(self, small_testbed):
+        """A day re-run against the plan cache its first run filled is
+        served entirely from the cache and reports the same day."""
+        requests = poisson_workload(12, day_s=DAY, seed=5, size_scale=0.02,
+                                    dataset_pool=2)
+
+        def run():
+            observer = Observer()
+            report = ServiceSimulator(
+                small_testbed,
+                policy=RunNow(),
+                tariff=peak_offpeak_tariff(period_s=DAY),
+                observer=observer,
+            ).run(requests)
+            return report, observer.metrics.snapshot()["counters"]
+
+        cold, cold_counters = run()
+        assert cold_counters["service.plan_cache_misses"] > 0
+        warm, warm_counters = run()
+        assert warm_counters.get("service.plan_cache_misses", 0) == 0
+        assert warm_counters["service.plan_cache_hits"] == len(requests)
+        assert warm.to_dict() == cold.to_dict()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.topo import (
     FlowDemand,
     allocate,
     from_edges,
-    water_fill,
+    single_link,
 )
 
 
@@ -30,29 +30,40 @@ def topo2():
 
 
 class TestWaterFill:
+    """On one link, max-min allocation is plain water-filling."""
+
+    @staticmethod
+    def fill(capacity, demands, weights=None):
+        weights = weights or {}
+        return allocate(
+            single_link(capacity),
+            [
+                FlowDemand(flow, ("link",), demand, weight=weights.get(flow, 1.0))
+                for flow, demand in demands.items()
+            ],
+        )
+
     def test_demand_capped_shares(self):
-        assert water_fill(12.0, {"a": 2.0, "b": 5.0, "c": 10.0}) == {
-            "a": 2.0,
-            "b": 5.0,
-            "c": 5.0,
-        }
+        result = self.fill(12.0, {"a": 2.0, "b": 5.0, "c": 10.0})
+        assert result.rates == {"a": 2.0, "b": 5.0, "c": 5.0}
+        assert result.binding == {"a": None, "b": None, "c": "link"}
 
     def test_weighted_shares(self):
-        shares = water_fill(
-            8.0, {"a": 10.0, "b": 10.0}, {"a": 1.0, "b": 3.0}
+        """The demand-capped flow's unused share is split 1:2."""
+        result = self.fill(
+            10.0, {"a": 10.0, "b": 1.0, "c": 10.0}, {"c": 2.0}
         )
-        assert shares == {"a": 2.0, "b": 6.0}
+        assert result.rates == {"a": 3.0, "b": 1.0, "c": 6.0}
 
     def test_all_satisfied_below_capacity(self):
-        assert water_fill(100.0, {"a": 3.0, "b": 4.0}) == {
-            "a": 3.0,
-            "b": 4.0,
-        }
+        result = self.fill(100.0, {"a": 3.0, "b": 4.0})
+        assert result.rates == {"a": 3.0, "b": 4.0}
+        assert result.congested_flows == []
 
     def test_empty_and_invalid(self):
-        assert water_fill(5.0, {}) == {}
+        assert self.fill(5.0, {}).rates == {}
         with pytest.raises(ValueError):
-            water_fill(-1.0, {"a": 1.0})
+            single_link(-1.0)
 
 
 class TestAllocateAnalytic:
